@@ -254,17 +254,8 @@ impl CacheSpec {
             tag_spec = tag_spec.with_max_cycle_time(t);
         }
 
-        // The two solves are independent; overlap them when threads are
-        // available (data is the big one, tag rides along).
-        let (data, tag) = mcpat_par::join2(
-            || data_spec.solve(tech, target),
-            || tag_spec.solve(tech, target),
-        )
-        .map_err(|e| ArrayError::Worker {
-            name: self.name.clone(),
-            detail: e.to_string(),
-        })?;
-        let (data, tag) = (data?, tag?);
+        let data = data_spec.solve(tech, target)?;
+        let tag = tag_spec.solve(tech, target)?;
 
         let cmp = TagComparator::new(tech, self.tag_bits());
         let cmp_m = cmp.metrics();

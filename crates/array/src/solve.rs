@@ -39,9 +39,9 @@ pub enum ArrayError {
         /// The best cycle time any candidate achieved, s.
         best_cycle: f64,
     },
-    /// A parallel sweep worker failed (a panic inside candidate
-    /// evaluation, contained and surfaced as a typed error instead of
-    /// unwinding across threads).
+    /// A pool worker failed (a panic inside a fanned-out build,
+    /// contained and surfaced as a typed error instead of unwinding
+    /// across threads).
     Worker {
         /// Array name from the spec.
         name: String,
@@ -252,8 +252,8 @@ struct Scored {
 /// The solver's total order: lower score wins, and exact score ties
 /// break on lexicographic `(nspd, ndwl, ndbl)`. Being a total order
 /// over distinct organizations makes the best-reduce independent of
-/// enumeration order and of how candidates are grouped across threads,
-/// so serial and parallel sweeps pick bit-identical winners.
+/// enumeration order and of how per-cell bests are grouped, so the
+/// hoisted and reference sweeps pick bit-identical winners.
 fn better(a: &Scored, b: &Scored) -> bool {
     a.score < b.score || (a.score == b.score && (a.nspd, a.ndwl, a.ndbl) < (b.nspd, b.ndwl, b.ndbl))
 }
@@ -291,9 +291,8 @@ fn materialize(spec: &ArraySpec, s: Scored, relaxation: Option<Relaxation>) -> S
     }
 }
 
-/// One `(nspd, ndbl)` cell of the outer enumeration space — the unit of
-/// work distributed across sweep threads. `geom_idx` points at the
-/// hoisted per-`nspd` column-geometry table.
+/// One `(nspd, ndbl)` cell of the outer enumeration space. `geom_idx`
+/// points at the hoisted per-`nspd` column-geometry table.
 #[derive(Clone, Copy)]
 struct OuterCell {
     nspd: usize,
@@ -346,13 +345,6 @@ const WIDE_CAM: SearchBounds = SearchBounds {
 /// Cycle-constraint multipliers tried, in order, on relaxation rung 2.
 const CYCLE_RELAX_FACTORS: [f64; 4] = [1.1, 1.25, 1.5, 2.0];
 
-/// Arrays at least this large (total storage bits) fan the outer
-/// `nspd × ndbl` sweep out across threads. Smaller arrays solve in well
-/// under a millisecond and are typically already being solved
-/// concurrently by the core/chip build fan-out, where an extra level of
-/// nested spawning only oversubscribes the machine.
-const PAR_SWEEP_MIN_BITS: u64 = 1 << 20;
-
 /// Maps a tripped budget to the solver's typed error for `spec`.
 fn budget_check(spec: &ArraySpec) -> Result<(), ArrayError> {
     mcpat_guard::check().map_err(|reason| ArrayError::Budget {
@@ -377,7 +369,7 @@ const MAX_NSPD: usize = 8;
 /// Test-only escape hatch: routes [`solve_uncached`] through the
 /// retained [`reference`] implementation so differential tests can
 /// compare whole chip builds against the unhoisted path. Process-global
-/// (not thread-local) so parallel build fan-outs inherit it.
+/// (not thread-local) so builds fanned out to pool workers inherit it.
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
 /// Selects the reference (unhoisted) solver for subsequent solves.
@@ -390,7 +382,7 @@ pub fn set_reference_mode(enabled: bool) {
 /// Everything about one solve that does not depend on the candidate
 /// partitioning: the hoisted mat and repeater invariant tables plus a
 /// few spec-derived scalars. Built once per solve and shared by both
-/// enumeration passes (and, read-only, by all sweep threads).
+/// enumeration passes.
 struct SolveInvariants {
     tech: TechParams,
     mat: MatInvariants,
@@ -499,7 +491,7 @@ impl GeomSet {
 }
 
 /// Fixed-size per-threshold best slots (at most [`MAX_THRESHOLDS`] are
-/// ever live), replacing the reference path's per-cell `Vec`.
+/// ever live), replacing the reference path's `Vec`.
 #[derive(Clone, Copy)]
 struct BestSet {
     slots: [Option<Scored>; MAX_THRESHOLDS],
@@ -663,7 +655,8 @@ fn evaluate_fast(
     }
 }
 
-/// Sweeps `ndwl` for one outer cell, reducing into per-threshold bests.
+/// Sweeps `ndwl` for one outer cell, reducing into the per-threshold
+/// bests in `best`; returns the fastest cycle time any candidate reached.
 ///
 /// This is the structure-of-arrays fast path: row invariants are hoisted
 /// once per cell, candidates fill `f64` lanes, scoring runs branch-light
@@ -680,7 +673,8 @@ fn sweep_cell(
     thresholds: &[Option<f64>],
     cell: &OuterCell,
     geoms: &[ColGeom],
-) -> Result<(BestSet, f64), ArrayError> {
+    best: &mut BestSet,
+) -> Result<f64, ArrayError> {
     // lint: hot
     let row = inv.mat.rows_part(cell.rows_per_mat);
     let mut lanes = CellLanes::new();
@@ -694,7 +688,6 @@ fn sweep_cell(
     }
     lanes.score(target);
 
-    let mut best = BestSet::empty();
     let mut best_cycle_seen = f64::INFINITY;
     let scored = lanes
         .score
@@ -721,7 +714,7 @@ fn sweep_cell(
         );
     }
     // lint: hot end
-    Ok((best, best_cycle_seen))
+    Ok(best_cycle_seen)
 }
 
 /// One enumeration pass. For each cycle-time threshold in `thresholds`
@@ -731,11 +724,7 @@ fn sweep_cell(
 /// candidate.
 ///
 /// Column geometry depends only on `(nspd, ndwl)`, so one table per
-/// `nspd` is hoisted out of the per-cell sweep here. Large arrays
-/// distribute the outer `(nspd, ndbl)` cells across threads; because
-/// [`better`] is a total order, merging the per-cell bests in any
-/// grouping yields the same winner, so the parallel sweep is
-/// bit-identical to the serial one.
+/// `nspd` is hoisted out of the per-cell sweep here.
 fn enumerate(
     inv: &SolveInvariants,
     spec: &ArraySpec,
@@ -800,39 +789,16 @@ fn enumerate(
         let cells: &[OuterCell] = cells_buf.get(..n_cells).unwrap_or(&[]);
         let geom_sets: &[GeomSet] = geom_sets;
 
-        let min_parallel = if spec.total_bits() >= PAR_SWEEP_MIN_BITS {
-            2
-        } else {
-            usize::MAX
-        };
         budget_check(spec)?;
-        let sweeps = mcpat_par::par_map(cells, min_parallel, |_, cell| {
+        let mut best = BestSet::empty();
+        let mut best_cycle_seen = f64::INFINITY;
+        for cell in cells {
             let geoms = geom_sets
                 .get(cell.geom_idx)
                 .map(GeomSet::as_slice)
                 .unwrap_or(&[]);
-            sweep_cell(inv, spec, target, thresholds, cell, geoms)
-        })
-        .map_err(|e| ArrayError::Worker {
-            name: spec.name.clone(),
-            detail: e.to_string(),
-        })?;
-
-        let mut best = BestSet::empty();
-        let mut best_cycle_seen = f64::INFINITY;
-        // Surface per-cell budget trips in input order so the winning
-        // error is deterministic regardless of how the sweep was
-        // scheduled.
-        for sweep in sweeps {
-            let (partial, cycle) = sweep?;
+            let cycle = sweep_cell(inv, spec, target, thresholds, cell, geoms, &mut best)?;
             best_cycle_seen = best_cycle_seen.min(cycle);
-            for (slot, cand) in best.slots.iter_mut().zip(partial.slots) {
-                if let Some(c) = cand {
-                    if slot.is_none_or(|b| better(&c, &b)) {
-                        *slot = Some(c);
-                    }
-                }
-            }
         }
         Ok((best, best_cycle_seen))
     })
@@ -1091,9 +1057,9 @@ fn evaluate_raw(
 #[doc(hidden)]
 pub mod reference {
     use super::{
-        better, budget_check, evaluate_raw, materialize, pow2s_up_to, reduce_into, ArrayError,
-        ArrayKind, ArraySpec, OptTarget, Relaxation, Scored, SearchBounds, SolvedArray, TechParams,
-        CYCLE_RELAX_FACTORS, NORMAL_CAM, NORMAL_RAM, PAR_SWEEP_MIN_BITS, WIDE_CAM, WIDE_RAM,
+        budget_check, evaluate_raw, materialize, pow2s_up_to, reduce_into, ArrayError, ArrayKind,
+        ArraySpec, OptTarget, Relaxation, Scored, SearchBounds, SolvedArray, TechParams,
+        CYCLE_RELAX_FACTORS, NORMAL_CAM, NORMAL_RAM, WIDE_CAM, WIDE_RAM,
     };
 
     #[derive(Clone, Copy)]
@@ -1111,9 +1077,9 @@ pub mod reference {
         bounds: &SearchBounds,
         thresholds: &[Option<f64>],
         cell: &SweepCell,
-    ) -> Result<(Vec<Option<Scored>>, f64), ArrayError> {
+        best: &mut [Option<Scored>],
+    ) -> Result<f64, ArrayError> {
         let access_bits = spec.access_bits.max(1) as usize;
-        let mut best: Vec<Option<Scored>> = vec![None; thresholds.len()];
         let mut best_cycle_seen = f64::INFINITY;
         for ndwl in pow2s_up_to(bounds.max_ndwl.min(cell.cols_total)) {
             budget_check(spec)?;
@@ -1133,11 +1099,11 @@ pub mod reference {
                 target,
             ) {
                 best_cycle_seen = best_cycle_seen.min(cand.eval.cycle_time);
-                reduce_into(&mut best, thresholds, cand);
+                reduce_into(best, thresholds, cand);
             }
             mcpat_guard::note_candidate();
         }
-        Ok((best, best_cycle_seen))
+        Ok(best_cycle_seen)
     }
 
     fn enumerate(
@@ -1171,32 +1137,12 @@ pub mod reference {
             }
         }
 
-        let min_parallel = if spec.total_bits() >= PAR_SWEEP_MIN_BITS {
-            2
-        } else {
-            usize::MAX
-        };
         budget_check(spec)?;
-        let sweeps = mcpat_par::par_map(&cells, min_parallel, |_, cell| {
-            sweep_cell(tech, spec, target, bounds, thresholds, cell)
-        })
-        .map_err(|e| ArrayError::Worker {
-            name: spec.name.clone(),
-            detail: e.to_string(),
-        })?;
-
         let mut best: Vec<Option<Scored>> = vec![None; thresholds.len()];
         let mut best_cycle_seen = f64::INFINITY;
-        for sweep in sweeps {
-            let (partial, cycle) = sweep?;
+        for cell in &cells {
+            let cycle = sweep_cell(tech, spec, target, bounds, thresholds, cell, &mut best)?;
             best_cycle_seen = best_cycle_seen.min(cycle);
-            for (slot, cand) in best.iter_mut().zip(partial) {
-                if let Some(c) = cand {
-                    if slot.is_none_or(|b| better(&c, &b)) {
-                        *slot = Some(c);
-                    }
-                }
-            }
         }
         Ok((best, best_cycle_seen))
     }
@@ -1441,7 +1387,7 @@ mod tests {
     fn tie_break_is_a_total_order_independent_of_fold_order() {
         // Candidates with identical scores must reduce to the same
         // winner whatever order (or grouping) they are folded in — this
-        // is what makes the parallel sweep bit-identical to serial.
+        // is what makes the per-cell merge independent of sweep order.
         let raw = RawEval {
             rows_per_mat: 1,
             cols_per_mat: 1,
@@ -1470,7 +1416,7 @@ mod tests {
             mk(3.0, 1, 1, 1),
         ];
         // Fold in several shuffled orders, including split-and-merge
-        // groupings that mimic per-thread partial reduces.
+        // groupings that mimic per-cell partial reduces.
         let orders: [[usize; 5]; 4] = [
             [0, 1, 2, 3, 4],
             [4, 3, 2, 1, 0],
@@ -1486,7 +1432,7 @@ mod tests {
             }
             let w = best.unwrap();
             assert_eq!((w.score, w.nspd, w.ndwl, w.ndbl), (1.0, 2, 1, 8));
-            // Split into two "threads" at every point and merge.
+            // Split into two partial reduces at every point and merge.
             for split in 1..order.len() {
                 let reduce = |ix: &[usize]| {
                     let mut b: Option<Scored> = None;
@@ -1606,37 +1552,6 @@ mod tests {
             (routed.ndwl, routed.ndbl, routed.nspd),
             (fast.ndwl, fast.ndbl, fast.nspd)
         );
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_bit_for_bit() {
-        // A 2 MB array crosses PAR_SWEEP_MIN_BITS, so its sweep actually
-        // fans out when more than one thread is available.
-        let t = tech();
-        let spec = ArraySpec::ram(2 * 1024 * 1024, 64).named("l2");
-        mcpat_par::set_thread_override(1);
-        let serial = solve_uncached(&t, &spec, OptTarget::EnergyDelay).unwrap();
-        let mut parallel = Vec::new();
-        for n in [2usize, 3, 8] {
-            mcpat_par::set_thread_override(n);
-            parallel.push(solve_uncached(&t, &spec, OptTarget::EnergyDelay).unwrap());
-        }
-        mcpat_par::set_thread_override(0);
-        for p in parallel {
-            assert_eq!(
-                (p.ndwl, p.ndbl, p.nspd, p.rows_per_mat, p.cols_per_mat),
-                (
-                    serial.ndwl,
-                    serial.ndbl,
-                    serial.nspd,
-                    serial.rows_per_mat,
-                    serial.cols_per_mat
-                )
-            );
-            assert_eq!(p.access_time.to_bits(), serial.access_time.to_bits());
-            assert_eq!(p.read_energy.to_bits(), serial.read_energy.to_bits());
-            assert_eq!(p.area.to_bits(), serial.area.to_bits());
-        }
     }
 
     #[test]

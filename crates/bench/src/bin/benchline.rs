@@ -875,7 +875,6 @@ fn main() {
     let batch = find("explore_batch_16_candidates");
     let bisect_full = find("clock_bisection_full");
     let bisect_incr = find("clock_bisection_incremental");
-    let chip_parallel_speedup = ratio(chip.serial_ms, chip.parallel_ms);
     let explore_parallel_speedup = ratio(expl.serial_ms, expl.parallel_ms);
     let chip_warm_speedup = ratio(chip.serial_ms, chip.warm_cache_ms);
     let batch_vs_explore_speedup = ratio(expl.serial_ms, batch.serial_ms);
@@ -1054,10 +1053,6 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"cold_build_speedup_vs_baseline\": {cold_build_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"chip_build_parallel_vs_serial\": {chip_parallel_speedup:.3},"
     );
     let _ = writeln!(
         json,

@@ -205,10 +205,10 @@ pub struct ExplorePerf {
     pub solve_cache_hits: u64,
     /// Array solves that ran the optimizer.
     pub solve_cache_misses: u64,
-    /// Tasks stolen between pool workers while building.
+    /// Candidate builds run by a thread other than the caller.
     pub pool_steals: u64,
-    /// Fan-out elements executed inline (serial cutoffs and nested
-    /// calls that never reached the pool).
+    /// Fan-out elements executed inline (serial cutoffs that never
+    /// reached the pool).
     pub pool_inline: u64,
     /// Heap allocations over the call, if a probe is registered (see
     /// [`register_alloc_probe`]); 0 otherwise.

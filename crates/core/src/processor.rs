@@ -4,7 +4,6 @@ use crate::config::ProcessorConfig;
 use crate::error::McpatError;
 use crate::power::{ChipPower, ChipPowerItem};
 use crate::stats::ChipStats;
-use mcpat_array::ArrayError;
 use mcpat_circuit::metrics::StaticPower;
 use mcpat_diag::{AtPath, Diagnostics, ResultExt};
 use mcpat_interconnect::noc::{NocConfig, NocModel};
@@ -92,6 +91,21 @@ pub(crate) fn checkpoint(stage: &str) -> Result<(), McpatError> {
     mcpat_guard::check().map_err(|e| McpatError::Budget(AtPath::new(stage, e)))
 }
 
+/// Runs one component build under its budget checkpoint and trace
+/// span, billing the component's relaxation warnings to the span.
+fn stage<T>(
+    name: &str,
+    build: impl FnOnce() -> Result<T, McpatError>,
+    relaxations: impl FnOnce(&T) -> usize,
+) -> Result<T, McpatError> {
+    checkpoint(name)?;
+    let span = mcpat_obs::span(name);
+    let built = build()?;
+    span.note_relaxations(relaxations(&built) as u64);
+    mcpat_guard::note_span();
+    Ok(built)
+}
+
 /// A single-axis change applied to an already-built chip by
 /// [`Processor::rebuild_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,9 +190,8 @@ impl Processor {
     /// (with the complete findings), or [`McpatError::Array`] naming the
     /// component whose storage array could not be solved.
     pub fn build(config: &ProcessorConfig) -> Result<Processor, McpatError> {
-        // The collector scope makes every solve-cache lookup, pool
-        // event and (probed) allocation of this build — including work
-        // stolen by other pool workers — bill to this build alone.
+        // The collector scope makes every solve-cache lookup and
+        // (probed) allocation of this build bill to this build alone.
         let collector = mcpat_obs::Collector::new();
         let result = {
             let _scope = collector.enter();
@@ -223,86 +236,54 @@ impl Processor {
         let mut core_cfg = config.core.clone();
         core_cfg.clock_hz = config.clock_hz;
 
-        // The four heavyweight component families are independent; fan
-        // them out. Error priority stays deterministic: core first, then
-        // l2, l3, mc — the same order the serial build reported in.
-        let (core, l2, l3, mc) = mcpat_par::join4(
+        // Error priority: core first, then l2, l3, mc.
+        let core = stage(
+            "build.core",
             || {
-                checkpoint("build.core")?;
-                let span = mcpat_obs::span("build.core");
-                let r = CoreModel::build(&tech, &core_cfg).map_err(|e| match e {
+                CoreModel::build(&tech, &core_cfg).map_err(|e| match e {
                     CoreBuildError::Invalid(d) => {
                         let mut all = Diagnostics::new();
                         all.merge_under("core", d);
                         McpatError::Invalid(all)
                     }
                     CoreBuildError::Array(e) => McpatError::Array(e.under("core")),
-                });
-                if let Ok(core) = &r {
-                    span.note_relaxations(core.relaxation_warnings().len() as u64);
-                    mcpat_guard::note_span();
-                }
-                r
+                })
             },
+            |core| core.relaxation_warnings().len(),
+        )?;
+        let l2 = stage(
+            "build.l2",
             || {
-                checkpoint("build.l2")?;
-                let span = mcpat_obs::span("build.l2");
-                let r = config
+                config
                     .l2
                     .as_ref()
                     .map(|c| c.build(&tech).at("l2").map_err(McpatError::from))
-                    .transpose();
-                if let Ok(r) = &r {
-                    if let Some(l2) = r {
-                        span.note_relaxations(l2.relaxation_warnings().len() as u64);
-                    }
-                    mcpat_guard::note_span();
-                }
-                r
+                    .transpose()
             },
+            |l2| l2.as_ref().map_or(0, |c| c.relaxation_warnings().len()),
+        )?;
+        let l3 = stage(
+            "build.l3",
             || {
-                checkpoint("build.l3")?;
-                let span = mcpat_obs::span("build.l3");
-                let r = config
+                config
                     .l3
                     .as_ref()
                     .map(|c| c.build(&tech).at("l3").map_err(McpatError::from))
-                    .transpose();
-                if let Ok(r) = &r {
-                    if let Some(l3) = r {
-                        span.note_relaxations(l3.relaxation_warnings().len() as u64);
-                    }
-                    mcpat_guard::note_span();
-                }
-                r
+                    .transpose()
             },
+            |l3| l3.as_ref().map_or(0, |c| c.relaxation_warnings().len()),
+        )?;
+        let mc = stage(
+            "build.mc",
             || {
-                checkpoint("build.mc")?;
-                let span = mcpat_obs::span("build.mc");
-                let r = config
+                config
                     .mc
                     .as_ref()
                     .map(|c| MemCtrl::build(&tech, c).at("mc").map_err(McpatError::from))
-                    .transpose();
-                if let Ok(r) = &r {
-                    if let Some(mc) = r {
-                        span.note_relaxations(mc.relaxation_warnings().len() as u64);
-                    }
-                    mcpat_guard::note_span();
-                }
-                r
+                    .transpose()
             },
-        )
-        .map_err(|e| {
-            McpatError::Array(AtPath::new(
-                "chip",
-                ArrayError::Worker {
-                    name: String::from("chip"),
-                    detail: e.to_string(),
-                },
-            ))
-        })?;
-        let (core, l2, l3, mc) = (core?, l2?, l3?, mc?);
+            |mc| mc.as_ref().map_or(0, |c| c.relaxation_warnings().len()),
+        )?;
         let io = OffChipIo::new(&tech, config.io_bandwidth);
         let shared_fpu = FunctionalUnit::new(&tech, FuKind::Fpu);
 

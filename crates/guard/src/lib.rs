@@ -11,7 +11,7 @@
 //! `mcpat-obs` collectors use: [`Budget::enter`] pushes the budget onto
 //! a thread-local chain, [`current_chain`] captures the chain so a work
 //! item submitted to the `mcpat-par` pool can re-activate it on
-//! whichever worker steals the task ([`BudgetChain::activate`]). Every
+//! whichever thread runs the task ([`BudgetChain::activate`]). Every
 //! long-running loop in the stack calls the free function [`check`] at
 //! its checkpoints; when no budget is active the call is a single
 //! thread-local load, and benchline gates a fully live chain (an
@@ -574,15 +574,6 @@ mod tests {
         assert!(check().is_ok());
         assert!(check().is_ok());
         assert!(matches!(check(), Err(GuardError::Cancelled { .. })));
-    }
-
-    #[test]
-    fn cancel_all_hits_live_budgets_only() {
-        let before = Budget::unbounded();
-        cancel_all();
-        let after = Budget::unbounded();
-        assert!(before.is_cancelled());
-        assert!(!after.is_cancelled());
     }
 
     #[test]

@@ -453,28 +453,17 @@ fn check_env_reads(
 }
 
 /// Fan-out entry points a held lock guard must not overlap with: the
-/// public `mcpat_par` fan-outs plus the persistent pool's submission
-/// seams (`submit`/`help_until` and the pooled wrappers). A guard held
+/// public `mcpat_par::par_map` plus the persistent pool's submission
+/// seams (`par_map_pooled`, `submit`, `help_until`). A guard held
 /// across pool submission can deadlock against a worker that needs the
 /// same lock to make progress.
-const FANOUT_CALLS: &[&str] = &[
-    "par_map",
-    "join2",
-    "join4",
-    "join6",
-    "par_map_pooled",
-    "join2_pooled",
-    "join4_pooled",
-    "join6_pooled",
-    "submit",
-    "help_until",
-];
+const FANOUT_CALLS: &[&str] = &["par_map", "par_map_pooled", "submit", "help_until"];
 
 /// L005 — a `let`-bound `.lock()` guard in a function whose body also
-/// fans out (`par_map`/`join*`) or submits to the persistent pool
-/// (`submit`/`help_until`/`*_pooled`). Conservative by design: the
-/// guard may be dropped before the fan-out, but proving that needs an
-/// AST, so such code carries an allow annotation with the argument
+/// fans out (`par_map`) or submits to the persistent pool
+/// (`par_map_pooled`/`submit`/`help_until`). Conservative by design:
+/// the guard may be dropped before the fan-out, but proving that needs
+/// an AST, so such code carries an allow annotation with the argument
 /// spelled out.
 fn check_lock_across_fanout(
     file: &str,
@@ -513,7 +502,7 @@ fn check_lock_across_fanout(
                         line: bt.line,
                         alt_line: None,
                         message: String::from(
-                            "lock guard bound in a scope that also fans out (par_map/join*) \
+                            "lock guard bound in a scope that also fans out (par_map) \
                              or submits to the thread pool (submit/help_until); holding a \
                              shard across a fan-out risks deadlock/contention — drop the \
                              guard first or justify with `// lint: allow(L005, reason)`",

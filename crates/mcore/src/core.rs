@@ -145,45 +145,29 @@ impl CoreModel {
         if diags.has_errors() {
             return Err(CoreBuildError::Invalid(diags));
         }
-        // One arena mark per core build: solver scratch allocated on
-        // this thread (the pool inlines unit builds when it has no
-        // spare workers) rolls back here, so the thread-local chunk is
+        // One arena mark per core build: solver scratch allocated while
+        // the units build rolls back here, so the thread-local chunk is
         // reused across every unit and across repeated builds instead
-        // of round-tripping the global allocator. Pool workers keep
-        // their own retained arenas.
+        // of round-tripping the global allocator.
         mcpat_arena::scratch(|_scratch| Self::build_units(tech, cfg))
     }
 
     fn build_units(tech: &TechParams, cfg: &CoreConfig) -> Result<CoreModel, CoreBuildError> {
-        // The array-solving units are independent of each other; build
-        // them concurrently when threads are available. Exu, pipeline
-        // and misc are closed-form (no solver) and stay inline.
-        let (ifu, rename, window, regs, lsu, mmu) = mcpat_par::join6(
-            || Ifu::build(tech, cfg).at("ifu"),
-            || RenameUnit::build(tech, cfg).at("rename"),
-            || WindowUnit::build(tech, cfg).at("window"),
-            || RegFiles::build(tech, cfg).at("regs"),
-            || Lsu::build(tech, cfg).at("lsu"),
-            || Mmu::build(tech, cfg).at("mmu"),
-        )
-        .map_err(|e| {
-            CoreBuildError::Array(AtPath::new(
-                "core",
-                ArrayError::Worker {
-                    name: String::from("core"),
-                    detail: e.to_string(),
-                },
-            ))
-        })?;
+        let ifu = Ifu::build(tech, cfg).at("ifu")?;
+        let rename = RenameUnit::build(tech, cfg).at("rename")?;
+        let window = WindowUnit::build(tech, cfg).at("window")?;
+        let regs = RegFiles::build(tech, cfg).at("regs")?;
+        let lsu = Lsu::build(tech, cfg).at("lsu")?;
+        let mmu = Mmu::build(tech, cfg).at("mmu")?;
         Ok(CoreModel {
             config: cfg.clone(),
-            ifu: ifu?,
-            rename: rename?,
-            window: window?,
-            regs: regs?,
+            ifu,
+            rename,
+            window,
+            regs,
             exu: Exu::build(tech, cfg),
-            lsu: lsu?,
-            mmu: mmu?,
+            lsu,
+            mmu,
             pipeline: PipelineRegs::build(tech, cfg),
             misc: MiscLogic::build(tech, cfg),
         })

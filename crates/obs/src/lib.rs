@@ -1,6 +1,6 @@
 //! # mcpat-obs — span-scoped tracing and metrics for the mcpat stack
 //!
-//! The modeling layers (solve cache, work-stealing pool, allocator
+//! The modeling layers (solve cache, thread pool, allocator
 //! probe) maintain process-global monotonic counters that are useful
 //! for whole-process dashboards but **wrong** for per-call attribution:
 //! two concurrent `Processor::build` calls differencing the same global

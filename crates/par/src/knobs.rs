@@ -13,7 +13,7 @@
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
-//! | `MCPAT_THREADS` | worker count for every fan-out | detected parallelism |
+//! | `MCPAT_THREADS` | workers for candidate-level fan-out | detected parallelism |
 //! | `MCPAT_SOLVE_CACHE` | `0` disables the array solve cache | enabled |
 //! | `MCPAT_SOLVE_CACHE_CAP` | solve-cache entry cap (`0` = unbounded) | 4096 |
 //! | `MCPAT_SERVE_MAX_INFLIGHT` | serve daemon admission cap (`0` = unbounded) | 64 |
@@ -24,7 +24,8 @@
 //! variables; tests and benchmarks should use those instead of mutating
 //! the process environment.
 
-/// Environment variable naming the worker count for every fan-out.
+/// Environment variable naming the worker count for candidate-level
+/// fan-out.
 pub const THREADS_VAR: &str = "MCPAT_THREADS";
 
 /// Environment variable that disables the array solve cache when set

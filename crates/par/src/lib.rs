@@ -1,18 +1,17 @@
-//! # mcpat-par — pooled fan-out for the modeling stack
+//! # mcpat-par — candidate-level fan-out for the modeling stack
 //!
-//! The modeling layers are trivially parallel at three levels (array
-//! partition sweeps, per-unit core builds, per-candidate chip builds),
-//! but the build environment vendors every dependency, so this crate
-//! provides the minimal primitives instead of rayon: [`par_map`] over a
-//! fixed worker count plus heterogeneous joins ([`join2`] … [`join6`]),
-//! all running on one lazily-started, process-wide work-stealing
-//! thread pool ([`pool`]: per-worker deques plus an injector queue).
-//! Nested fan-outs are **nesting-aware**: a call made from a pool
-//! worker pushes onto that worker's own deque and the worker helps
-//! drain the queues while it waits, so a candidate sweep over N chips
-//! saturates the machine exactly once instead of N × depth times.
+//! Design-space exploration evaluates many independent chips, and that
+//! is where parallelism pays: one chip build is a millisecond of work,
+//! too short to split. The build environment vendors every dependency,
+//! so this crate provides the one primitive the stack needs instead of
+//! rayon: [`par_map`] over a fixed worker count, running on one lazily
+//! started, process-wide pool ([`pool`]: a single FIFO injector the
+//! submitting thread helps drain). Fan-out happens **once**, at the
+//! outermost call: a `par_map` made from inside a pool task runs
+//! inline, so a sweep over N candidates saturates the machine exactly
+//! once and each build runs start to finish on one thread.
 //!
-//! Three properties every helper guarantees:
+//! Three properties the helper guarantees:
 //!
 //! * **Determinism** — results come back in input order; callers that
 //!   reduce must use an order-independent (totally ordered) merge, and
@@ -109,22 +108,21 @@ fn detected_parallelism() -> usize {
 }
 
 /// The `MCPAT_THREADS` knob, resolved once per process. `threads()` is
-/// called by every `join*`/`par_map` — hundreds of times inside one
-/// chip build — and `std::env::var` takes a process-global lock and
-/// allocates per call, which on a single-lane host made the
-/// override-free "parallel" mode measurably slower than the pinned
-/// serial mode while executing the exact same inline code (the
-/// `explore_parallel_vs_serial < 1` anomaly on the 1-CPU benchline
-/// baseline). The documented knob contract already directs in-process
-/// callers to [`set_thread_override`] rather than mutating the
-/// environment mid-run, so a one-shot read observes every supported
-/// configuration.
+/// called by every `par_map` and by every chip build's perf block, and
+/// `std::env::var` takes a process-global lock and allocates per call,
+/// which on a single-lane host made the override-free "parallel" mode
+/// measurably slower than the pinned serial mode while executing the
+/// exact same inline code (the `explore_parallel_vs_serial < 1` anomaly
+/// on the 1-CPU benchline baseline). The documented knob contract
+/// already directs in-process callers to [`set_thread_override`] rather
+/// than mutating the environment mid-run, so a one-shot read observes
+/// every supported configuration.
 fn env_threads() -> Option<usize> {
     static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
     *ENV_THREADS.get_or_init(knobs::threads)
 }
 
-/// The worker count used by every helper in this crate, resolved as:
+/// The worker count used by [`par_map`], resolved as:
 /// [`set_thread_override`] if set, else a positive integer
 /// `MCPAT_THREADS` environment variable (read once per process), else
 /// the machine's available parallelism. Always ≥ 1 and ≤ 64.
@@ -159,7 +157,8 @@ pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, ParError> {
 
 /// Maps `f` over `items`, fanning out across [`threads`] workers when
 /// there are at least `min_parallel` items. Results are returned in
-/// input order; `f` receives `(index, &item)`.
+/// input order; `f` receives `(index, &item)`. A call made from inside
+/// a pool task runs inline: the pool fans out one level only.
 ///
 /// # Errors
 ///
@@ -172,104 +171,24 @@ where
     F: Fn(usize, &I) -> T + Sync,
 {
     let workers = threads().min(items.len());
-    if workers <= 1 || items.len() < min_parallel.max(2) {
-        pool::note_inline(items.len() as u64);
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            out.push(catch(|| f(i, item))?);
-        }
-        return Ok(out);
+    if workers <= 1 || items.len() < min_parallel.max(2) || pool::in_task() {
+        return run_inline(items, &f);
     }
     pool::par_map_pooled(items, &f)
 }
 
-/// Runs two independent closures, in parallel when [`threads`] > 1.
-///
-/// # Errors
-///
-/// [`ParError::WorkerPanicked`] if either closure panicked.
-pub fn join2<A, B, FA, FB>(fa: FA, fb: FB) -> Result<(A, B), ParError>
+/// Runs `f` over `items` on the calling thread, billed as inline
+/// executions, with the same panic containment as the pooled path.
+pub(crate) fn run_inline<I, T, F>(items: &[I], f: &F) -> Result<Vec<T>, ParError>
 where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
+    F: Fn(usize, &I) -> T,
 {
-    if threads() <= 1 {
-        pool::note_inline(2);
-        return Ok((catch(fa)?, catch(fb)?));
+    pool::note_inline(items.len() as u64);
+    let mut out = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        out.push(catch(|| f(i, item))?);
     }
-    pool::join2_pooled(fa, fb)
-}
-
-/// Runs four independent closures, in parallel when [`threads`] > 1.
-///
-/// # Errors
-///
-/// [`ParError::WorkerPanicked`] if any closure panicked.
-pub fn join4<A, B, C, D, FA, FB, FC, FD>(
-    fa: FA,
-    fb: FB,
-    fc: FC,
-    fd: FD,
-) -> Result<(A, B, C, D), ParError>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    D: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    FC: FnOnce() -> C + Send,
-    FD: FnOnce() -> D + Send,
-{
-    if threads() <= 1 {
-        pool::note_inline(4);
-        return Ok((catch(fa)?, catch(fb)?, catch(fc)?, catch(fd)?));
-    }
-    pool::join4_pooled(fa, fb, fc, fd)
-}
-
-/// Runs six independent closures, in parallel when [`threads`] > 1.
-///
-/// # Errors
-///
-/// [`ParError::WorkerPanicked`] if any closure panicked.
-#[allow(clippy::many_single_char_names)]
-pub fn join6<A, B, C, D, E, G, FA, FB, FC, FD, FE, FG>(
-    fa: FA,
-    fb: FB,
-    fc: FC,
-    fd: FD,
-    fe: FE,
-    fg: FG,
-) -> Result<(A, B, C, D, E, G), ParError>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    D: Send,
-    E: Send,
-    G: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    FC: FnOnce() -> C + Send,
-    FD: FnOnce() -> D + Send,
-    FE: FnOnce() -> E + Send,
-    FG: FnOnce() -> G + Send,
-{
-    if threads() <= 1 {
-        pool::note_inline(6);
-        return Ok((
-            catch(fa)?,
-            catch(fb)?,
-            catch(fc)?,
-            catch(fd)?,
-            catch(fe)?,
-            catch(fg)?,
-        ));
-    }
-    pool::join6_pooled(fa, fb, fc, fd, fe, fg)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -331,61 +250,41 @@ mod tests {
     }
 
     #[test]
-    fn join_helpers_return_everything() {
-        for n in [1usize, 4] {
-            with_override(n, || {
-                let (a, b) = join2(|| 1, || "two").unwrap();
-                assert_eq!((a, b), (1, "two"));
-                let (a, b, c, d) = join4(|| 1, || 2, || 3, || 4).unwrap();
-                assert_eq!((a, b, c, d), (1, 2, 3, 4));
-                let (a, b, c, d, e, g) = join6(|| 1, || 2, || 3, || 4, || 5, || 6).unwrap();
-                assert_eq!((a, b, c, d, e, g), (1, 2, 3, 4, 5, 6));
-            });
-        }
-    }
-
-    #[test]
-    fn join_panic_is_contained() {
-        let err = with_override(4, || {
-            join2(|| 1, || -> i32 { panic!("join boom") }).unwrap_err()
-        });
-        assert!(err.to_string().contains("join boom"), "{err}");
-    }
-
-    #[test]
-    fn nested_fanout_runs_on_the_pool_without_oversubscription() {
+    fn nested_par_map_runs_inline_on_the_task_thread() {
         let got = with_override(4, || {
             let items: Vec<usize> = (0..8).collect();
             par_map(&items, 2, |_, &x| {
-                let (a, b, c, d) = join4(|| x, || x + 1, || x + 2, || x + 3).unwrap();
-                let (e, f, g, h, i, j) =
-                    join6(|| a, || b, || c, || d, || x * 10, || x * 100).unwrap();
-                e + f + g + h + i + j
+                assert!(pool::in_task());
+                let outer = std::thread::current().id();
+                let scope = mcpat_obs::Collector::new();
+                let inner = {
+                    let _scope = scope.enter();
+                    let inner: Vec<usize> = (0..6).map(|k| x * 10 + k).collect();
+                    par_map(&inner, 2, |_, &y| (y, std::thread::current().id())).unwrap()
+                };
+                let snap = scope.snapshot();
+                assert_eq!(snap.pool_submitted, 0, "a nested fan-out must not submit");
+                assert_eq!(snap.pool_inline, 6);
+                assert!(inner.iter().all(|&(_, id)| id == outer));
+                inner.iter().map(|&(y, _)| y).sum::<usize>()
             })
             .unwrap()
         });
-        let want: Vec<usize> = (0..8).map(|x| 4 * x + 6 + 10 * x + 100 * x).collect();
+        let want: Vec<usize> = (0..8).map(|x| 60 * x + 15).collect();
         assert_eq!(got, want);
     }
 
     #[test]
-    fn nested_join_panic_is_contained_and_pool_stays_usable() {
+    fn nested_panic_is_contained_and_pool_stays_usable() {
         let err = with_override(4, || {
             let items: Vec<usize> = (0..6).collect();
             par_map(&items, 2, |_, &x| {
-                join6(
-                    || x,
-                    || x,
-                    || x,
-                    || x,
-                    || x,
-                    || {
-                        assert!(x != 3, "inner boom {x}");
-                        x
-                    },
-                )
-                .unwrap()
-                .0
+                let inner = [x, x, x];
+                par_map(&inner, 2, |i, &y| {
+                    assert!(!(y == 3 && i == 2), "inner boom {y}");
+                    y
+                })
+                .unwrap()[0]
             })
             .unwrap_err()
         });
@@ -413,18 +312,16 @@ mod tests {
     #[test]
     fn single_worker_fanout_is_pure_inline_with_zero_steals() {
         // The 1-CPU regression mode: with one worker every fan-out —
-        // including nesting shaped like a chip build (par_map over
-        // join4 over join6) — must run inline without ever touching
-        // the pool queues. Submitting with no second lane to drain
-        // the queue is pure overhead (the `clock_bisection_full`
+        // nested ones included — must run inline without ever touching
+        // the pool queue. Submitting with no second lane to drain the
+        // queue is pure overhead (the `clock_bisection_full`
         // parallel-slower-than-serial anomaly).
         let (before, after, got) = with_override(1, || {
             let before = pool::stats();
             let items: Vec<usize> = (0..12).collect();
             let got = par_map(&items, 2, |_, &x| {
-                let (a, b, c, d) = join4(|| x, || x + 1, || x + 2, || x + 3).unwrap();
-                let (e, f, ..) = join6(|| a + b, || c + d, || 0, || 0, || 0, || 0).unwrap();
-                e + f
+                let inner = [x, x + 1, x + 2, x + 3];
+                par_map(&inner, 2, |_, &y| y).unwrap().iter().sum::<usize>()
             })
             .unwrap();
             (before, pool::stats(), got)
@@ -434,12 +331,12 @@ mod tests {
         assert_eq!(after.steals, before.steals, "one worker must never steal");
         assert_eq!(
             after.submitted, before.submitted,
-            "one worker must never submit to the pool queues"
+            "one worker must never submit to the pool queue"
         );
-        // Every closure (12 map items + 3 + 5 join arms each) billed
-        // as inline execution.
+        // Every closure (12 map items + 4 inner items each) billed as
+        // inline execution.
         assert!(
-            after.inline_execs >= before.inline_execs + 12 * (1 + 4 + 6),
+            after.inline_execs >= before.inline_execs + 12 * (1 + 4),
             "{after:?} vs {before:?}"
         );
     }

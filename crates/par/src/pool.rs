@@ -1,40 +1,31 @@
-//! The persistent work-stealing pool behind the fan-out helpers.
+//! The persistent pool behind [`crate::par_map`].
 //!
-//! PR 2 fanned work out with `std::thread::scope`, spawning fresh OS
-//! threads on every `par_map`/`join*` call. That is correct but
-//! catastrophic under nesting: `explore` → `join4` (chip units) →
-//! `join6` (core units) → partition sweeps spawns `N × depth` threads
-//! and oversubscribes the machine (the committed baseline measured
-//! 0.78× *slow-down* for parallel explore). This module replaces the
-//! spawning with one process-wide pool:
+//! One lazily started, process-wide pool with a single FIFO injector
+//! queue:
 //!
-//! * **Injector + per-worker deques.** External callers push task
-//!   batches onto a shared injector queue; pool workers push nested
-//!   fan-outs onto their own deque. A worker pops its own deque LIFO
-//!   (locality), then the injector FIFO, then *steals* FIFO from a
-//!   sibling's deque. All queues live under one short-hold mutex —
-//!   tasks here are microseconds to milliseconds of modeling work, so
-//!   queue transfer cost is noise.
+//! * **One level of fan-out.** A `par_map` called on a thread that is
+//!   already running a pool task runs inline ([`in_task`]), so only the
+//!   outermost call — candidates of a sweep, probes of a DSE chunk —
+//!   ever submits. A chip build is milliseconds of work; splitting it
+//!   further only paid queue and wake-up overhead.
 //! * **Help-while-wait.** A caller that submitted a batch does not
-//!   block: it executes queued tasks (its own, or anyone's) until its
-//!   batch latch opens. Workers blocked on a *nested* fan-out do the
-//!   same, so every OS thread stays busy and nested joins can never
-//!   deadlock the pool.
+//!   block: it pops tasks off the injector (its own, or a concurrent
+//!   caller's) until its batch latch opens, so the submitting thread
+//!   is always the final lane.
 //! * **Lazy, growable sizing.** No thread is spawned until the first
 //!   parallel call. The pool grows to `threads() - 1` resident workers
-//!   (the submitting thread is the final lane) and honors the same
-//!   resolution as [`crate::threads`]: override, then `MCPAT_THREADS`
-//!   (via [`crate::knobs`] — this module reads no environment), then
-//!   detected parallelism.
+//!   and honors the same resolution as [`crate::threads`]: override,
+//!   then `MCPAT_THREADS` (via [`crate::knobs`] — this module reads no
+//!   environment), then detected parallelism.
 //!
 //! # Safety
 //!
-//! Tasks are type-erased pointers to stack frames of the submitting
-//! caller ([`TaskRef`]). This is sound because every submission path
-//! blocks (helping) until its batch latch reports completion, and a
-//! task's final touch of batch memory is the latch update itself; the
-//! wake-up signal afterwards only touches the pool's `'static` state.
-//! Panics never unwind through the pool: user closures run under
+//! Tasks are type-erased pointers into a stack frame of the submitting
+//! caller ([`TaskRef`]). This is sound because the submitter blocks
+//! (helping) until its batch latch reports completion, and a task's
+//! final touch of batch memory is the latch update itself; the wake-up
+//! signal afterwards only touches the pool's `'static` state. Panics
+//! never unwind through the pool: user closures run under
 //! [`crate::catch`], latches open via drop guards, and the worker loop
 //! carries a defense-in-depth `catch_unwind` so a buggy task can never
 //! kill or poison a worker.
@@ -43,8 +34,9 @@ use crate::ParError;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// Upper bound on resident workers (one below [`crate::MAX_THREADS`]:
@@ -61,12 +53,12 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 pub struct PoolStats {
     /// Resident worker threads (0 until the first parallel call).
     pub workers: usize,
-    /// Tasks pushed onto the injector or a worker deque.
+    /// Tasks pushed onto the injector.
     pub submitted: u64,
-    /// Tasks executed by a thread other than their queue's owner.
+    /// Tasks executed by a thread other than their submitter.
     pub steals: u64,
     /// Closures run inline on the calling thread without submission
-    /// (serial fallback and the leading closure of each join).
+    /// (serial fallback and fan-outs nested inside a pool task).
     pub inline_execs: u64,
     /// Worker threads respawned after dying mid-task (a task that
     /// unwinds through the defense-in-depth catch — see
@@ -75,28 +67,29 @@ pub struct PoolStats {
     pub workers_respawned: u64,
 }
 
-/// A type-erased pointer to a task living on a submitting caller's
-/// stack. See the module-level safety argument. `exec` receives
-/// "this execution was a steal" so the task can bill the steal to the
-/// scope chain it captured at submission time (see `mcpat-obs`).
+/// A type-erased pointer to a `par_map` call living on a submitting
+/// caller's stack, plus the item index this task runs. See the
+/// module-level safety argument.
 #[derive(Clone, Copy)]
-pub(crate) struct TaskRef {
+struct TaskRef {
     data: *const (),
-    exec: unsafe fn(*const (), bool),
+    index: usize,
+    exec: unsafe fn(*const (), usize),
 }
 
-// SAFETY: the pointee is a `Sync` batch structure owned by a caller
+// SAFETY: `data` points at a `Sync` call structure owned by a caller
 // that outlives execution (it blocks on the batch latch), so handing
-// the pointer to another thread is sound.
+// the pointer to another thread is sound; `index` and the `exec` fn
+// pointer are plain values.
 unsafe impl Send for TaskRef {}
 
-struct Queues {
-    injector: VecDeque<TaskRef>,
-    locals: Vec<VecDeque<TaskRef>>,
+struct Queue {
+    tasks: VecDeque<TaskRef>,
+    workers: usize,
 }
 
 struct Shared {
-    queues: Mutex<Queues>,
+    queue: Mutex<Queue>,
     cv: Condvar,
     submitted: AtomicU64,
     steals: AtomicU64,
@@ -105,16 +98,19 @@ struct Shared {
 }
 
 thread_local! {
-    /// Index of the pool worker running on this thread, if any.
-    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
+    /// True on resident pool worker threads.
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+    /// True while this thread runs a pool task (worker or helping
+    /// submitter); a `par_map` made from inside one runs inline.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
 fn shared() -> &'static Shared {
     static SHARED: OnceLock<Shared> = OnceLock::new();
     SHARED.get_or_init(|| Shared {
-        queues: Mutex::new(Queues {
-            injector: VecDeque::new(),
-            locals: Vec::new(),
+        queue: Mutex::new(Queue {
+            tasks: VecDeque::new(),
+            workers: 0,
         }),
         cv: Condvar::new(),
         submitted: AtomicU64::new(0),
@@ -127,8 +123,8 @@ fn shared() -> &'static Shared {
 /// Locks the queue mutex, shrugging off poisoning: no user code ever
 /// runs while the guard is held, so the protected state cannot be
 /// mid-mutation even after a panic elsewhere.
-fn lock(shared: &Shared) -> MutexGuard<'_, Queues> {
-    shared.queues.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock(shared: &Shared) -> MutexGuard<'_, Queue> {
+    shared.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Current counter snapshot. Counters are process-global and
@@ -137,7 +133,7 @@ fn lock(shared: &Shared) -> MutexGuard<'_, Queues> {
 pub fn stats() -> PoolStats {
     let shared = shared();
     PoolStats {
-        workers: lock(shared).locals.len(),
+        workers: lock(shared).workers,
         submitted: shared.submitted.load(Ordering::Relaxed),
         steals: shared.steals.load(Ordering::Relaxed),
         inline_execs: shared.inline_execs.load(Ordering::Relaxed),
@@ -152,42 +148,33 @@ pub(crate) fn note_inline(n: u64) {
     mcpat_obs::record_pool_inline(n);
 }
 
-/// True when the calling thread is a resident pool worker (used by
-/// tests; nested submission routing keys off the same thread-local).
+/// True when the calling thread is a resident pool worker.
 #[must_use]
 pub fn is_pool_worker() -> bool {
-    WORKER.with(Cell::get).is_some()
+    WORKER.with(Cell::get)
 }
 
-/// True when a fan-out from this thread would have no second lane to
-/// run on: the pool holds no resident worker besides (possibly) the
-/// calling thread itself — either worker spawning failed, or the sole
-/// resident worker is the caller of a nested fan-out. Submitting in
-/// that state only round-trips every task through the queue mutex and
-/// condvar back to this same thread (the `clock_bisection_full`
-/// parallel-slower-than-serial anomaly on a 1-CPU host), so the pooled
-/// paths fall back to inline execution instead.
-fn no_second_lane(shared: &Shared) -> bool {
-    let workers = lock(shared).locals.len();
-    workers == 0 || (workers == 1 && is_pool_worker())
+/// True while the calling thread is running a pool task. Fan-out from
+/// such a thread runs inline: the pool fans out one level only.
+pub(crate) fn in_task() -> bool {
+    IN_TASK.with(Cell::get)
 }
 
 /// Grows the pool to `want` resident workers (capped, never shrinks).
 /// Spawn failures degrade gracefully: submitting threads always help
-/// drain the queues, so fewer workers costs throughput, not progress.
+/// drain the queue, so fewer workers costs throughput, not progress.
 fn ensure_workers(shared: &'static Shared, want: usize) {
     let want = want.min(MAX_WORKERS);
     let mut q = lock(shared);
-    while q.locals.len() < want {
-        let index = q.locals.len();
-        q.locals.push(VecDeque::new());
+    while q.workers < want {
+        let index = q.workers;
         let spawned = std::thread::Builder::new()
             .name(format!("mcpat-par-{index}"))
             .spawn(move || worker_main(shared, index));
         if spawned.is_err() {
-            q.locals.pop();
             break;
         }
+        q.workers += 1;
     }
 }
 
@@ -195,10 +182,9 @@ fn ensure_workers(shared: &'static Shared, want: usize) {
 /// rate, but bounded so a pathological kill loop cannot fork-bomb.
 const MAX_RESPAWNS: u64 = 256;
 
-/// Respawns worker lane `me` when its thread dies by panic. The lane's
-/// deque stays registered (and stealable) while the lane is dead, so
-/// queued tasks are never lost either way; the respawn restores
-/// steady-state throughput.
+/// Respawns worker lane `me` when its thread dies by panic. Queued
+/// tasks live on the shared injector, so none is lost either way; the
+/// respawn restores steady-state throughput.
 struct RespawnGuard {
     shared: &'static Shared,
     me: usize,
@@ -250,40 +236,19 @@ pub(crate) fn is_kill_payload(payload: &(dyn std::any::Any + Send)) -> bool {
     payload.downcast_ref::<WorkerKill>().is_some() && is_pool_worker()
 }
 
-/// Pops the best task for `me`: own deque LIFO, injector (FIFO for
-/// workers, LIFO for external helpers — their own batch is on top),
-/// then steal FIFO from a sibling. The bool is "this was a steal".
-fn pop_task(q: &mut Queues, me: Option<usize>) -> Option<(TaskRef, bool)> {
-    if let Some(i) = me {
-        if let Some(t) = q.locals.get_mut(i).and_then(VecDeque::pop_back) {
-            return Some((t, false));
-        }
-        if let Some(t) = q.injector.pop_front() {
-            return Some((t, false));
-        }
-    } else if let Some(t) = q.injector.pop_back() {
-        return Some((t, false));
-    }
-    for (j, deque) in q.locals.iter_mut().enumerate() {
-        if Some(j) == me {
-            continue;
-        }
-        if let Some(t) = deque.pop_front() {
-            return Some((t, true));
-        }
-    }
-    None
-}
-
-/// Runs one task. The task's own `exec` already routes user panics
-/// into [`ParError`] slots and opens its latch via a drop guard; the
-/// outer catch is defense in depth so a worker thread never unwinds.
-fn run_task(task: TaskRef, stolen: bool) {
+/// Runs one task with the in-task flag raised. The task's own `exec`
+/// already routes user panics into [`ParError`] slots and opens its
+/// latch via a drop guard; the outer catch is defense in depth so a
+/// worker thread never unwinds.
+fn run_task(task: TaskRef) {
+    let outer = IN_TASK.with(|t| t.replace(true));
     // SAFETY: see the module-level argument — the submitting caller
     // keeps the pointee alive until the batch latch opens.
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe {
-        (task.exec)(task.data, stolen)
-    })) {
+    let result = catch_unwind(AssertUnwindSafe(|| unsafe {
+        (task.exec)(task.data, task.index)
+    }));
+    IN_TASK.with(|t| t.set(outer));
+    if let Err(payload) = result {
         // The chaos kill marker must actually kill the worker thread;
         // every other panic is contained here (defense in depth).
         if is_kill_payload(payload.as_ref()) {
@@ -305,17 +270,13 @@ fn signal(shared: &Shared) {
 /// triggers the guard).
 fn worker_main(shared: &'static Shared, me: usize) {
     let _respawn = RespawnGuard { shared, me };
-    worker_loop(shared, me);
-}
-
-fn worker_loop(shared: &'static Shared, me: usize) {
-    WORKER.with(|w| w.set(Some(me)));
+    WORKER.with(|w| w.set(true));
     loop {
-        let (task, stolen) = {
+        let task = {
             let mut q = lock(shared);
             loop {
-                if let Some(found) = pop_task(&mut q, Some(me)) {
-                    break found;
+                if let Some(task) = q.tasks.pop_front() {
+                    break task;
                 }
                 let (guard, _) = shared
                     .cv
@@ -324,34 +285,18 @@ fn worker_loop(shared: &'static Shared, me: usize) {
                 q = guard;
             }
         };
-        if stolen {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        run_task(task, stolen);
-        signal(shared);
+        run_task(task);
     }
 }
 
-/// Pushes a batch of tasks: nested submissions (from a pool worker) go
-/// to that worker's own deque, external ones to the injector.
+/// Pushes a batch of tasks onto the injector and wakes the workers.
 fn submit(shared: &'static Shared, tasks: impl IntoIterator<Item = TaskRef>) {
-    let me = WORKER.with(Cell::get);
     let mut pushed = 0u64;
     {
         let mut q = lock(shared);
-        match me.and_then(|i| q.locals.get_mut(i)) {
-            Some(local) => {
-                for t in tasks {
-                    local.push_back(t);
-                    pushed += 1;
-                }
-            }
-            None => {
-                for t in tasks {
-                    q.injector.push_back(t);
-                    pushed += 1;
-                }
-            }
+        for t in tasks {
+            q.tasks.push_back(t);
+            pushed += 1;
         }
     }
     shared.submitted.fetch_add(pushed, Ordering::Relaxed);
@@ -360,17 +305,15 @@ fn submit(shared: &'static Shared, tasks: impl IntoIterator<Item = TaskRef>) {
 }
 
 /// Executes queued tasks until `done` reports the caller's batch
-/// latch open. This is what makes nested fan-out safe: a blocked
-/// submitter is indistinguishable from a worker.
+/// latch open.
 fn help_until(shared: &'static Shared, done: &dyn Fn() -> bool) {
-    let me = WORKER.with(Cell::get);
     loop {
         if done() {
             return;
         }
         let popped = {
             let mut q = lock(shared);
-            let popped = pop_task(&mut q, me);
+            let popped = q.tasks.pop_front();
             if popped.is_none() {
                 // Re-check under the lock: a completion signal takes
                 // this same lock, so parking here cannot lose it.
@@ -384,12 +327,8 @@ fn help_until(shared: &'static Shared, done: &dyn Fn() -> bool) {
             }
             popped
         };
-        if let Some((task, stolen)) = popped {
-            if stolen {
-                shared.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            run_task(task, stolen);
-            signal(shared);
+        if let Some(task) = popped {
+            run_task(task);
         }
     }
 }
@@ -404,21 +343,16 @@ struct Slot<T>(UnsafeCell<Option<Result<T, ParError>>>);
 unsafe impl<T: Send> Sync for Slot<T> {}
 
 /// Shared state of one `par_map` call, borrowed by its tasks. The
-/// submitter's scope chain rides along so that a task executed (or
-/// stolen) by any thread still bills the submitting scope.
+/// submitter's scope and budget chains ride along so that a task run
+/// by any thread still bills, and is bounded by, the submitting scope.
 struct MapCall<'a, I, T, F> {
     items: &'a [I],
     f: &'a F,
     slots: &'a [Slot<T>],
     remaining: &'a AtomicUsize,
+    submitter: ThreadId,
     chain: mcpat_obs::ScopeChain,
     budget: mcpat_guard::BudgetChain,
-}
-
-/// One item-task of a `par_map` call.
-struct MapTask<'a, I, T, F> {
-    call: &'a MapCall<'a, I, T, F>,
-    index: usize,
 }
 
 /// Opens a counting latch on drop, then wakes parked threads. Runs
@@ -437,29 +371,35 @@ impl Drop for OpenLatch<'_> {
     }
 }
 
-unsafe fn exec_map_task<I, T, F>(data: *const (), stolen: bool)
+/// Runs item `index` of the `par_map` call at `data`.
+///
+/// # Safety
+///
+/// `data` must point at a live `MapCall<'_, I, T, F>` whose latch has
+/// not opened, and no other task of that call may run `index`.
+unsafe fn exec_map_task<I, T, F>(data: *const (), index: usize)
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    // SAFETY: `data` points at a live `MapTask` per the submission
+    // SAFETY: `data` points at a live `MapCall` per the submission
     // contract (owner helps until `remaining` reaches zero).
-    let task = unsafe { &*data.cast::<MapTask<'_, I, T, F>>() };
-    let call = task.call;
+    let call = unsafe { &*data.cast::<MapCall<'_, I, T, F>>() };
     // Declared before the latch so the latch (the final touch of
     // caller memory) drops first; the chain guards own only Arcs and
     // thread-local state, so their later drops never touch the caller.
     let _chain = call.chain.activate();
     let _budget = call.budget.activate();
-    if stolen {
+    if std::thread::current().id() != call.submitter {
+        shared().steals.fetch_add(1, Ordering::Relaxed);
         mcpat_obs::record_pool_steal();
     }
     let _latch = OpenLatch {
         remaining: call.remaining,
     };
-    if let (Some(item), Some(slot)) = (call.items.get(task.index), call.slots.get(task.index)) {
-        let result = crate::catch(|| (call.f)(task.index, item));
+    if let (Some(item), Some(slot)) = (call.items.get(index), call.slots.get(index)) {
+        let result = crate::catch(|| (call.f)(index, item));
         // SAFETY: this task is the slot's only writer (disjoint
         // indices), and the owner reads only after the latch opens.
         unsafe { *slot.0.get() = Some(result) };
@@ -476,13 +416,10 @@ where
 {
     let shared = shared();
     ensure_workers(shared, crate::threads().saturating_sub(1));
-    if no_second_lane(shared) {
-        note_inline(items.len() as u64);
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            out.push(crate::catch(|| f(i, item))?);
-        }
-        return Ok(out);
+    if lock(shared).workers == 0 {
+        // Worker spawning failed: submitting would only round-trip
+        // every task through the queue back to this same thread.
+        return crate::run_inline(items, f);
     }
     let slots: Vec<Slot<T>> = (0..items.len())
         .map(|_| Slot(UnsafeCell::new(None)))
@@ -493,16 +430,16 @@ where
         f,
         slots: &slots,
         remaining: &remaining,
+        submitter: std::thread::current().id(),
         chain: mcpat_obs::current_chain(),
         budget: mcpat_guard::current_chain(),
     };
-    let tasks: Vec<MapTask<'_, I, T, F>> = (0..items.len())
-        .map(|index| MapTask { call: &call, index })
-        .collect();
+    let data = std::ptr::from_ref(&call).cast::<()>();
     submit(
         shared,
-        tasks.iter().map(|t| TaskRef {
-            data: std::ptr::from_ref(t).cast(),
+        (0..items.len()).map(|index| TaskRef {
+            data,
+            index,
             exec: exec_map_task::<I, T, F>,
         }),
     );
@@ -516,196 +453,6 @@ where
         );
     }
     Ok(out)
-}
-
-/// One heterogeneous closure of a join, parked on the caller's stack
-/// until a pool thread (or the helping caller itself) runs it.
-pub(crate) struct StackJob<R, F> {
-    f: UnsafeCell<Option<F>>,
-    result: UnsafeCell<Option<Result<R, ParError>>>,
-    done: AtomicBool,
-    chain: mcpat_obs::ScopeChain,
-    budget: mcpat_guard::BudgetChain,
-}
-
-// SAFETY: `f`/`result` are touched by exactly one executing thread
-// before `done` flips (Release), and by the owner only after it
-// observes `done` (Acquire).
-unsafe impl<R: Send, F: Send> Sync for StackJob<R, F> {}
-
-impl<R, F> StackJob<R, F>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    pub(crate) fn new(f: F) -> StackJob<R, F> {
-        StackJob {
-            f: UnsafeCell::new(Some(f)),
-            result: UnsafeCell::new(None),
-            done: AtomicBool::new(false),
-            chain: mcpat_obs::current_chain(),
-            budget: mcpat_guard::current_chain(),
-        }
-    }
-
-    fn as_task(&self) -> TaskRef {
-        TaskRef {
-            data: std::ptr::from_ref(self).cast(),
-            exec: exec_stack_job::<R, F>,
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn take(self) -> Result<R, ParError> {
-        self.result
-            .into_inner()
-            .unwrap_or_else(|| Err(ParError::vanished()))
-    }
-}
-
-/// Flips a boolean latch open on drop, then wakes parked threads.
-struct OpenFlag<'a> {
-    done: &'a AtomicBool,
-}
-
-impl Drop for OpenFlag<'_> {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Release);
-        signal(shared());
-    }
-}
-
-unsafe fn exec_stack_job<R, F>(data: *const (), stolen: bool)
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    // SAFETY: `data` points at a live `StackJob` per the submission
-    // contract (owner helps until `done` flips).
-    let job = unsafe { &*data.cast::<StackJob<R, F>>() };
-    // Chain guards before the latch: the latch must stay the final
-    // touch of caller memory (see `exec_map_task`).
-    let _chain = job.chain.activate();
-    let _budget = job.budget.activate();
-    if stolen {
-        mcpat_obs::record_pool_steal();
-    }
-    let _latch = OpenFlag { done: &job.done };
-    // SAFETY: sole pre-latch accessor of `f` and `result`.
-    let f = unsafe { (*job.f.get()).take() };
-    if let Some(f) = f {
-        let result = crate::catch(f);
-        unsafe { *job.result.get() = Some(result) };
-    }
-}
-
-/// Submits `jobs` and runs `lead` inline, helping until every job's
-/// latch opens. The shared skeleton of `join2/4/6`.
-fn join_with<A, FA>(lead: FA, jobs: &[TaskRef], all_done: &dyn Fn() -> bool) -> Result<A, ParError>
-where
-    A: Send,
-    FA: FnOnce() -> A + Send,
-{
-    let shared = shared();
-    ensure_workers(shared, crate::threads().saturating_sub(1));
-    if no_second_lane(shared) {
-        note_inline(1 + jobs.len() as u64);
-        let lead_result = crate::catch(lead);
-        for job in jobs {
-            run_task(*job, false);
-        }
-        return lead_result;
-    }
-    submit(shared, jobs.iter().copied());
-    note_inline(1);
-    let lead_result = crate::catch(lead);
-    help_until(shared, all_done);
-    lead_result
-}
-
-pub(crate) fn join2_pooled<A, B, FA, FB>(fa: FA, fb: FB) -> Result<(A, B), ParError>
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    let jb = StackJob::new(fb);
-    let a = join_with(fa, &[jb.as_task()], &|| jb.is_done());
-    let b = jb.take();
-    Ok((a?, b?))
-}
-
-pub(crate) fn join4_pooled<A, B, C, D, FA, FB, FC, FD>(
-    fa: FA,
-    fb: FB,
-    fc: FC,
-    fd: FD,
-) -> Result<(A, B, C, D), ParError>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    D: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    FC: FnOnce() -> C + Send,
-    FD: FnOnce() -> D + Send,
-{
-    let jb = StackJob::new(fb);
-    let jc = StackJob::new(fc);
-    let jd = StackJob::new(fd);
-    let a = join_with(fa, &[jb.as_task(), jc.as_task(), jd.as_task()], &|| {
-        jb.is_done() && jc.is_done() && jd.is_done()
-    });
-    let (b, c, d) = (jb.take(), jc.take(), jd.take());
-    Ok((a?, b?, c?, d?))
-}
-
-#[allow(clippy::many_single_char_names)]
-pub(crate) fn join6_pooled<A, B, C, D, E, G, FA, FB, FC, FD, FE, FG>(
-    fa: FA,
-    fb: FB,
-    fc: FC,
-    fd: FD,
-    fe: FE,
-    fg: FG,
-) -> Result<(A, B, C, D, E, G), ParError>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    D: Send,
-    E: Send,
-    G: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    FC: FnOnce() -> C + Send,
-    FD: FnOnce() -> D + Send,
-    FE: FnOnce() -> E + Send,
-    FG: FnOnce() -> G + Send,
-{
-    let jb = StackJob::new(fb);
-    let jc = StackJob::new(fc);
-    let jd = StackJob::new(fd);
-    let je = StackJob::new(fe);
-    let jg = StackJob::new(fg);
-    let a = join_with(
-        fa,
-        &[
-            jb.as_task(),
-            jc.as_task(),
-            jd.as_task(),
-            je.as_task(),
-            jg.as_task(),
-        ],
-        &|| jb.is_done() && jc.is_done() && jd.is_done() && je.is_done() && jg.is_done(),
-    );
-    let (b, c, d, e, g) = (jb.take(), jc.take(), jd.take(), je.take(), jg.take());
-    Ok((a?, b?, c?, d?, e?, g?))
 }
 
 #[cfg(test)]
@@ -724,7 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_worker_flag_is_false_on_external_threads() {
+    fn pool_worker_and_task_flags_are_false_on_external_threads() {
         assert!(!is_pool_worker());
+        assert!(!in_task());
     }
 }

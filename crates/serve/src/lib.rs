@@ -5,10 +5,9 @@
 //! process throws that cache away on exit. This crate keeps it alive:
 //! `mcpat serve --listen ADDR` accepts concurrent model-evaluation
 //! requests over a line-delimited JSON protocol on plain TCP (no HTTP
-//! dependency), sharing the content-addressed solve cache and the
-//! persistent work-stealing pool across every request — the shape of an
-//! estimation *service* that architecture-exploration flows drive
-//! programmatically.
+//! dependency), sharing the content-addressed solve cache across every
+//! request — the shape of an estimation *service* that
+//! architecture-exploration flows drive programmatically.
 //!
 //! Governance and billing are per request:
 //!

@@ -84,49 +84,34 @@ impl SharedCacheConfig {
             search: 1,
         };
 
-        // The big tag+data solve dominates; the controller's small
-        // arrays (MSHR, buffers, directory) run alongside it.
-        let (cache, small) = mcpat_par::join2(
-            || self.cache.solve(tech, OptTarget::EnergyDelay),
-            || -> Result<_, ArrayError> {
-                let mshr = ArraySpec::cam(
-                    u64::from(self.mshr_entries.max(1)),
-                    addr_bits + 16,
-                    addr_bits.saturating_sub(6),
-                )
-                .with_ports(q_ports)
-                .named(format!("{}-mshr", self.cache.name))
-                .solve(tech, OptTarget::EnergyDelay)?;
-
-                let wb_buffer =
-                    ArraySpec::table(u64::from(self.wb_buffer_entries.max(1)), line_bits)
-                        .named(format!("{}-wb", self.cache.name))
-                        .solve(tech, OptTarget::EnergyDelay)?;
-                let fill_buffer =
-                    ArraySpec::table(u64::from(self.fill_buffer_entries.max(1)), line_bits)
-                        .named(format!("{}-fill", self.cache.name))
-                        .solve(tech, OptTarget::EnergyDelay)?;
-
-                let directory = if self.directory_sharers > 0 {
-                    // One sharer bit-vector entry per cache line.
-                    let lines = self.cache.capacity / u64::from(self.cache.block_bytes);
-                    Some(
-                        ArraySpec::table(lines.max(2), self.directory_sharers + 2)
-                            .named(format!("{}-dir", self.cache.name))
-                            .solve(tech, OptTarget::Energy)?,
-                    )
-                } else {
-                    None
-                };
-                Ok((mshr, wb_buffer, fill_buffer, directory))
-            },
+        let cache = self.cache.solve(tech, OptTarget::EnergyDelay)?;
+        let mshr = ArraySpec::cam(
+            u64::from(self.mshr_entries.max(1)),
+            addr_bits + 16,
+            addr_bits.saturating_sub(6),
         )
-        .map_err(|e| ArrayError::Worker {
-            name: self.cache.name.clone(),
-            detail: e.to_string(),
-        })?;
-        let cache = cache?;
-        let (mshr, wb_buffer, fill_buffer, directory) = small?;
+        .with_ports(q_ports)
+        .named(format!("{}-mshr", self.cache.name))
+        .solve(tech, OptTarget::EnergyDelay)?;
+
+        let wb_buffer = ArraySpec::table(u64::from(self.wb_buffer_entries.max(1)), line_bits)
+            .named(format!("{}-wb", self.cache.name))
+            .solve(tech, OptTarget::EnergyDelay)?;
+        let fill_buffer = ArraySpec::table(u64::from(self.fill_buffer_entries.max(1)), line_bits)
+            .named(format!("{}-fill", self.cache.name))
+            .solve(tech, OptTarget::EnergyDelay)?;
+
+        let directory = if self.directory_sharers > 0 {
+            // One sharer bit-vector entry per cache line.
+            let lines = self.cache.capacity / u64::from(self.cache.block_bytes);
+            Some(
+                ArraySpec::table(lines.max(2), self.directory_sharers + 2)
+                    .named(format!("{}-dir", self.cache.name))
+                    .solve(tech, OptTarget::Energy)?,
+            )
+        } else {
+            None
+        };
 
         Ok(SharedCache {
             config: self.clone(),

@@ -10,7 +10,7 @@
 
 use std::panic::AssertUnwindSafe;
 
-use mcpat::{Processor, ProcessorConfig};
+use mcpat::{explore_batch, Budgets, McpatError, MetricSet, Processor, ProcessorConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -250,48 +250,57 @@ fn presets() -> Vec<ProcessorConfig> {
 /// Returns an error description if the invariant is violated.
 fn check(cfg: &ProcessorConfig) -> Result<(), String> {
     match Processor::build(cfg) {
-        Err(e) => {
-            // A typed diagnostic is a valid outcome; it must render.
-            let text = e.to_string();
-            if text.is_empty() {
-                return Err("error rendered to empty string".into());
-            }
-            Ok(())
-        }
-        Ok(chip) => {
-            let power = chip.peak_power();
-            let total = power.total();
-            if !total.is_finite() || total < 0.0 {
-                return Err(format!("peak power not finite/non-negative: {total}"));
-            }
-            for item in &power.items {
-                let d = item.dynamic;
-                let l = item.leakage.total();
-                if !d.is_finite() || d < 0.0 || !l.is_finite() || l < 0.0 {
-                    return Err(format!(
-                        "component {} power not finite/non-negative: dyn={d} leak={l}",
-                        item.name
-                    ));
-                }
-            }
-            let area = chip.die_area_mm2();
-            if !area.is_finite() || area < 0.0 {
-                return Err(format!("die area not finite/non-negative: {area}"));
-            }
-            if chip.report().is_empty() {
-                return Err("report rendered to empty string".into());
-            }
-            Ok(())
+        Err(e) => check_error(&e),
+        Ok(chip) => check_chip(&chip),
+    }
+}
+
+/// A typed diagnostic is a valid outcome; it must render.
+fn check_error(e: &McpatError) -> Result<(), String> {
+    if e.to_string().is_empty() {
+        return Err("error rendered to empty string".into());
+    }
+    Ok(())
+}
+
+/// A built chip must report finite, non-negative power and area.
+fn check_chip(chip: &Processor) -> Result<(), String> {
+    let power = chip.peak_power();
+    let total = power.total();
+    if !total.is_finite() || total < 0.0 {
+        return Err(format!("peak power not finite/non-negative: {total}"));
+    }
+    for item in &power.items {
+        let d = item.dynamic;
+        let l = item.leakage.total();
+        if !d.is_finite() || d < 0.0 || !l.is_finite() || l < 0.0 {
+            return Err(format!(
+                "component {} power not finite/non-negative: dyn={d} leak={l}",
+                item.name
+            ));
         }
     }
+    let area = chip.die_area_mm2();
+    if !area.is_finite() || area < 0.0 {
+        return Err(format!("die area not finite/non-negative: {area}"));
+    }
+    if chip.report().is_empty() {
+        return Err("report rendered to empty string".into());
+    }
+    Ok(())
 }
 
 /// Runs one corrupted config; returns a violation description, if any.
 fn run_case(label: &str, cfg: ProcessorConfig) -> Option<String> {
+    run_guarded(label, || check(&cfg))
+}
+
+/// Runs one invariant check, turning a panic into a violation.
+fn run_guarded(label: &str, check: impl FnOnce() -> Result<(), String>) -> Option<String> {
     if std::env::var_os("FI_TRACE").is_some() {
         eprintln!("case: {label}");
     }
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| check(&cfg)));
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(check));
     match outcome {
         Err(panic) => {
             let msg = panic
@@ -366,10 +375,12 @@ fn exhaustive_field_payload_matrix_on_niagara() {
     report_violations(violations, cases);
 }
 
-/// The same invariant under thread-parallel builds: corruptions whose
-/// failure surfaces *inside a worker thread* must still come back as a
-/// typed diagnostic (`ArrayError::Worker` at worst), never as a panic
-/// escaping the build or a poisoned lock wedging later builds.
+/// The same invariant when builds run on pool workers: each corrupted
+/// config goes through `explore_batch` next to the three other (clean)
+/// presets, so the batch fans its builds out across the pool. A failure
+/// must come back as a typed diagnostic (`ArrayError::Worker` at
+/// worst), never as a panic escaping the batch or a poisoned lock
+/// wedging later builds; a success must pass the same chip checks.
 #[test]
 fn parallel_corruptions_surface_as_typed_errors() {
     struct ResetOverride;
@@ -393,7 +404,25 @@ fn parallel_corruptions_surface_as_typed_errors() {
         let mut cfg = base.clone();
         mutate(&mut cfg, payload);
         let label = format!("par4 {} + {name} = {payload:e}", cfg.name);
-        violations.extend(run_case(&label, cfg));
+        let mut batch: Vec<ProcessorConfig> = bases
+            .iter()
+            .filter(|b| b.name != cfg.name)
+            .cloned()
+            .collect();
+        batch.push(cfg);
+        violations.extend(run_guarded(&label, || {
+            let mut chip_check = Ok(());
+            let explored = explore_batch(&batch, Budgets::default(), |chip| {
+                if chip_check.is_ok() {
+                    chip_check = check_chip(chip);
+                }
+                MetricSet::from_power(1.0, 1.0, 1.0)
+            });
+            match explored {
+                Err(e) => check_error(&e),
+                Ok(_) => chip_check,
+            }
+        }));
         cases += 1;
     }
     report_violations(violations, cases);

@@ -368,61 +368,37 @@ fn stolen_pool_tasks_bill_the_submitting_scope() {
     let _reset = KnobReset;
     mcpat::par::set_thread_override(4);
 
+    // A steal is a task run by a thread other than its submitter. Two
+    // tasks that meet at a barrier must run on two threads at once, so
+    // at least one of them is a steal. Observer scopes entered *inside*
+    // the tasks (which submit nothing themselves) must never see it.
     let submitter = mcpat::obs::Collector::new();
-    let mut outer_steals = 0u64;
-    // Steals come from worker-local deques, which only nested fan-outs
-    // fill: each outer task runs a join4 whose lead closure sleeps, so
-    // idle workers steal the three queued siblings out of the busy
-    // worker's deque. Whether a steal lands is still a scheduling
-    // race; retry until one does. Every attempt asserts the negative
-    // half: observer scopes entered *inside* the tasks (which submit
-    // nothing themselves) never see a steal event.
-    for _attempt in 0..50 {
-        let steals_in_tasks = AtomicU64::new(0);
-        {
-            let _scope = submitter.enter();
-            let items: Vec<u64> = (0..2).collect();
-            let out = mcpat::par::par_map(&items, 2, |_, &x| {
-                let executor = mcpat::obs::Collector::new();
-                let observed = {
-                    let _inner = executor.enter();
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                    executor.snapshot().pool_steals
-                };
-                steals_in_tasks.fetch_add(observed, Ordering::Relaxed);
-                // Nested fan-out outside the observer scope: its jobs
-                // bill the chain active here — the outer submitter.
-                let sleep_then = |us: u64, v: u64| {
-                    move || -> u64 {
-                        std::thread::sleep(std::time::Duration::from_micros(us));
-                        v
-                    }
-                };
-                let (a, b, c, d) = mcpat::par::join4(
-                    sleep_then(1000, 1),
-                    sleep_then(100, 1),
-                    sleep_then(100, 1),
-                    sleep_then(100, 1),
-                )
-                .unwrap();
-                x + a + b + c + d
-            })
-            .unwrap();
-            assert_eq!(out.len(), 2);
-        }
-        assert_eq!(
-            steals_in_tasks.load(Ordering::Relaxed),
-            0,
-            "a steal must bill the scope that submitted the task, \
-             never a scope opened on the stealing worker"
-        );
-        outer_steals = submitter.snapshot().pool_steals;
-        if outer_steals > 0 {
-            break;
-        }
+    let steals_in_tasks = AtomicU64::new(0);
+    let barrier = std::sync::Barrier::new(2);
+    {
+        let _scope = submitter.enter();
+        let items: Vec<u64> = (0..2).collect();
+        let out = mcpat::par::par_map(&items, 2, |_, &x| {
+            let executor = mcpat::obs::Collector::new();
+            let observed = {
+                let _inner = executor.enter();
+                barrier.wait();
+                executor.snapshot().pool_steals
+            };
+            steals_in_tasks.fetch_add(observed, Ordering::Relaxed);
+            x + 1
+        })
+        .unwrap();
+        assert_eq!(out, vec![1, 2]);
     }
+    assert_eq!(
+        steals_in_tasks.load(Ordering::Relaxed),
+        0,
+        "a steal must bill the scope that submitted the task, \
+         never a scope opened on the stealing worker"
+    );
     assert!(
-        outer_steals > 0,
-        "no steal observed in 50 attempts of a nested fan-out on a 4-thread pool"
+        submitter.snapshot().pool_steals >= 1,
+        "two tasks meeting at a barrier ran on one thread"
     );
 }
