@@ -18,12 +18,16 @@
 //!    build never runs (see [`ParetoFrontier::would_prune`] for the
 //!    soundness argument).
 //!
-//! Work streams through the persistent pool in bounded chunks routed
-//! into [`crate::explore`]'s dedupe, so peak candidate storage is
-//! O(frontier + chunk). The frontier plus the generator cursor
-//! serialize to JSON ([`DseCheckpoint`]) at chunk boundaries, so a
-//! sweep killed by the `mcpat-guard` deadline/cancel machinery resumes
-//! where it stopped with a bit-identical final frontier.
+//! Work streams in bounded chunks of configurations routed into
+//! [`crate::explore`]'s dedupe, and each probe retimes its row's base
+//! chip in place ([`Processor::retime`]), so peak storage is
+//! O(frontier + chunk) configurations plus one chip per row the chunk
+//! touches. The sweep runs on the calling thread: a probe is a few
+//! microseconds, too little to pay for a pool task (DESIGN.md §8).
+//! The frontier plus the generator cursor serialize to JSON
+//! ([`DseCheckpoint`]) at chunk boundaries, so a sweep killed by the
+//! `mcpat-guard` deadline/cancel machinery resumes where it stopped
+//! with a bit-identical final frontier.
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
@@ -166,7 +170,8 @@ impl AxisGrid {
 pub struct DseOptions {
     /// Physical budgets a candidate must respect to reach the frontier.
     pub budgets: Budgets,
-    /// Candidates streamed per pool batch; peak candidate storage is
+    /// Candidates enumerated, pruned and deduplicated together, and the
+    /// granularity of checkpoints; peak candidate storage is
     /// O(frontier + chunk).
     pub chunk: usize,
     /// Emit a checkpoint to the sink roughly every this many candidates
@@ -209,7 +214,7 @@ pub struct DsePerf {
     /// area budget, after it otherwise).
     pub rejected: u64,
     /// Candidates served by an incremental clock probe
-    /// ([`Delta::Clock`]) off a row base.
+    /// ([`Processor::retime`] of a row base).
     pub probes: u64,
     /// Row bases advanced with an L2 resize ([`Delta::CacheSize`])
     /// instead of a full build.
@@ -461,18 +466,18 @@ pub fn dse<E: DseEvaluator>(
     dse_streaming(grid, opts, evaluator, None, |_| Ok(()))
 }
 
-/// One in-flight candidate of a chunk, between enumeration and its
-/// probe.
+/// Where one in-flight candidate of a chunk sits, between enumeration
+/// and its probe; its configuration is kept alongside.
 struct Pending {
     cursor: u64,
-    cfg: ProcessorConfig,
     /// Index into the chunk's row-base table.
     base_slot: usize,
 }
 
 /// The streaming engine: enumerates `grid` from the resume cursor (or
-/// 0), streams candidates through the pool in `opts.chunk`-sized
-/// batches, offers survivors to the incremental frontier, and emits a
+/// 0) in `opts.chunk`-sized batches, probes the survivors of each
+/// batch's prune in cursor order, offers them to the incremental
+/// frontier, and emits a
 /// [`DseCheckpoint`] to `on_checkpoint` at the configured cadence
 /// (chunk-aligned, so a resumed sweep replays no partial chunk and its
 /// final frontier is bit-identical to an uninterrupted run's).
@@ -542,8 +547,9 @@ where
     Ok(DseResult { frontier, perf })
 }
 
-/// Streams one chunk: enumerate, prune, dedupe, probe in parallel,
-/// offer in cursor order.
+/// Streams one chunk in two phases: enumerate, budget-reject and prune
+/// every candidate against the frontier as it stood at the chunk start;
+/// then dedupe, probe and offer serially in cursor order.
 fn run_chunk<E: DseEvaluator>(
     grid: &AxisGrid,
     opts: &DseOptions,
@@ -558,6 +564,7 @@ fn run_chunk<E: DseEvaluator>(
     let mut bases: Vec<Processor> = Vec::new();
     let mut base_slots: Vec<u64> = Vec::new(); // row of each base slot
     let mut pending: Vec<Pending> = Vec::new();
+    let mut cfgs: Vec<ProcessorConfig> = Vec::new();
 
     for cursor in range {
         checkpoint("dse.enumerate")?;
@@ -594,11 +601,8 @@ fn run_chunk<E: DseEvaluator>(
                 }
             }
         }
-        pending.push(Pending {
-            cursor,
-            cfg,
-            base_slot,
-        });
+        pending.push(Pending { cursor, base_slot });
+        cfgs.push(cfg);
     }
     if pending.is_empty() {
         return Ok(());
@@ -606,55 +610,40 @@ fn run_chunk<E: DseEvaluator>(
 
     // Route the chunk through the same dedupe key explore_batch uses:
     // identical configurations (up to the name) probe once and share.
-    let cfgs: Vec<ProcessorConfig> = pending.iter().map(|p| p.cfg.clone()).collect();
     let mut assignment = vec![0usize; cfgs.len()];
     let rep_ids = assign_duplicates(&cfgs, &mut assignment);
     perf.deduped += (pending.len() - rep_ids.len()) as u64;
-    let reps: Vec<&Pending> = rep_ids.iter().filter_map(|&i| pending.get(i)).collect();
 
-    // Probe the representatives concurrently through the pool. Each
-    // probe is a clock delta off its row base (bit-identical to a full
-    // build of the candidate's configuration).
-    let probes = mcpat_par::par_map(&reps, 2, |_, p| {
+    // Probe and offer in cursor order so the frontier (ties, winners,
+    // counters) is deterministic. Each probe retimes its
+    // representative's row base in place (bit-identical to a full build
+    // of the candidate's configuration); a duplicate retimes the same
+    // base to the same clock (the dedupe key includes the clock), which
+    // reproduces its representative's bits without counting a probe.
+    let candidates = pending.iter().zip(cfgs).zip(assignment.iter());
+    for (i, ((p, cfg), &slot)) in candidates.enumerate() {
         checkpoint("dse.probe")?;
-        let base = bases.get(p.base_slot).ok_or_else(|| {
-            McpatError::config("dse.probe", "candidate references a missing row base")
-        })?;
-        let r = base.rebuild_with(Delta::Clock(p.cfg.clock_hz));
-        if r.is_ok() {
-            mcpat_guard::note_candidate();
-        }
-        r
-    })
-    .map_err(|e| {
-        McpatError::Array(mcpat_diag::AtPath::new(
-            "dse",
-            mcpat_array::ArrayError::Worker {
-                name: String::from("dse"),
-                detail: e.to_string(),
-            },
-        ))
-    })?;
-    let mut chips = Vec::with_capacity(probes.len());
-    for (built, p) in probes.into_iter().zip(reps.iter()) {
-        if p.cfg.core.enforce_timing {
-            perf.full_builds += 1;
-            mcpat_obs::record_dse_full_builds(1);
-        } else {
-            perf.probes += 1;
-            mcpat_obs::record_dse_probes(1);
-        }
-        chips.push(built?);
-    }
-
-    // Offer in cursor order so the frontier (ties, winners, counters)
-    // is deterministic. Duplicates observe their representative's chip
-    // relabeled in place — same values, their own name.
-    for (p, &slot) in pending.iter().zip(assignment.iter()) {
-        let Some(chip) = chips.get_mut(slot) else {
+        let Some(&rep_id) = rep_ids.get(slot) else {
             continue;
         };
-        chip.config.name.clone_from(&p.cfg.name);
+        let Some(rep) = pending.get(rep_id) else {
+            continue;
+        };
+        let chip = bases.get_mut(rep.base_slot).ok_or_else(|| {
+            McpatError::config("dse.probe", "candidate references a missing row base")
+        })?;
+        chip.config.name.clone_from(&cfg.name);
+        chip.retime(cfg.clock_hz)?;
+        if rep_id == i {
+            mcpat_guard::note_candidate();
+            if cfg.core.enforce_timing {
+                perf.full_builds += 1;
+                mcpat_obs::record_dse_full_builds(1);
+            } else {
+                perf.probes += 1;
+                mcpat_obs::record_dse_probes(1);
+            }
+        }
         let area = chip.die_area();
         let peak = chip.peak_power().total();
         if area > opts.budgets.max_area || peak > opts.budgets.max_peak_power {
@@ -663,7 +652,7 @@ fn run_chunk<E: DseEvaluator>(
         }
         let metrics = evaluator.evaluate(chip);
         frontier.offer(FrontierPoint {
-            name: p.cfg.name.clone(),
+            name: cfg.name,
             cursor: p.cursor,
             area,
             peak_power: peak,

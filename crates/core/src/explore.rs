@@ -439,8 +439,8 @@ pub struct BisectionPerf {
     /// Full `Processor::build` runs: the anchoring base build, plus one
     /// per probe when `core.enforce_timing` forces the fallback.
     pub full_builds: u64,
-    /// Probes served by the incremental clock-only rebuild
-    /// ([`Processor::rebuild_with_clock`]).
+    /// Probes served by the incremental clock-only retime
+    /// ([`Processor::retime`]).
     pub incremental_probes: u64,
 }
 
@@ -451,9 +451,8 @@ pub struct BisectionPerf {
 /// This is the inverse question McPAT's integrated model makes cheap:
 /// instead of "what does this clock cost", "what clock does this budget
 /// buy". One full build anchors the clock-invariant array geometry;
-/// every probe — `lo`, `hi`, and all midpoints — then re-evaluates
-/// through [`Processor::rebuild_with_clock`] instead of re-solving the
-/// chip.
+/// every probe — `lo`, `hi`, and all midpoints — then retimes that one
+/// chip in place ([`Processor::retime`]) instead of re-solving it.
 ///
 /// # Errors
 ///
@@ -480,7 +479,7 @@ pub fn max_clock_under_power_budget_with_perf(
     hi_hz: f64,
 ) -> Result<(Option<f64>, BisectionPerf), McpatError> {
     let _span = mcpat_obs::span("clock_bisection");
-    let base = Processor::build(config)?;
+    let mut chip = Processor::build(config)?;
     let mut perf = BisectionPerf {
         full_builds: 1,
         incremental_probes: 0,
@@ -493,7 +492,8 @@ pub fn max_clock_under_power_budget_with_perf(
         } else {
             perf.incremental_probes += 1;
         }
-        Ok(base.rebuild_with_clock(clock)?.peak_power().total())
+        chip.retime(clock)?;
+        Ok(chip.peak_power().total())
     };
     if power_at(lo_hz)? > budget_w {
         return Ok((None, perf));

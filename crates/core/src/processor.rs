@@ -106,6 +106,32 @@ fn stage<T>(
     Ok(built)
 }
 
+/// Runs `produce` under a fresh collector scope and span `name`, then
+/// stamps the chip it returns with that scope's solve-cache traffic
+/// (and, while tracing, its spans). The scope makes every solve-cache
+/// lookup and (probed) allocation bill to this call alone.
+fn collected(
+    name: &str,
+    produce: impl FnOnce() -> Result<Processor, McpatError>,
+) -> Result<Processor, McpatError> {
+    let collector = mcpat_obs::Collector::new();
+    let result = {
+        let _scope = collector.enter();
+        let _span = mcpat_obs::span(name);
+        produce()
+    };
+    let snap = collector.snapshot();
+    let mut chip = result?;
+    chip.perf = BuildPerf {
+        threads: mcpat_par::threads(),
+        solve_cache_hits: snap.solve_cache_hits,
+        solve_cache_misses: snap.solve_cache_misses,
+        solve_cache_evictions: snap.solve_cache_evictions,
+    };
+    chip.trace = mcpat_obs::tracing_enabled().then(|| collector.trace());
+    Ok(chip)
+}
+
 /// A single-axis change applied to an already-built chip by
 /// [`Processor::rebuild_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,35 +216,18 @@ impl Processor {
     /// (with the complete findings), or [`McpatError::Array`] naming the
     /// component whose storage array could not be solved.
     pub fn build(config: &ProcessorConfig) -> Result<Processor, McpatError> {
-        // The collector scope makes every solve-cache lookup and
-        // (probed) allocation of this build bill to this build alone.
-        let collector = mcpat_obs::Collector::new();
-        let result = {
-            let _scope = collector.enter();
-            let _span = mcpat_obs::span("build");
-            // One arena mark per chip build: every solver scratch
-            // allocation made inline on this thread rolls back here
-            // when the build finishes, so back-to-back builds (warm
-            // sweeps, exploration) reuse one retained chunk.
+        // One arena mark per chip build: every solver scratch allocation
+        // made inline on this thread rolls back here when the build
+        // finishes, so back-to-back builds (warm sweeps, exploration)
+        // reuse one retained chunk.
+        collected("build", || {
             mcpat_arena::scratch(|_scratch| Self::build_inner(config))
-        };
-        let snap = collector.snapshot();
-        let mut chip = result?;
-        chip.perf = BuildPerf {
-            threads: mcpat_par::threads(),
-            solve_cache_hits: snap.solve_cache_hits,
-            solve_cache_misses: snap.solve_cache_misses,
-            solve_cache_evictions: snap.solve_cache_evictions,
-        };
-        if mcpat_obs::tracing_enabled() {
-            chip.trace = Some(collector.trace());
-        }
-        Ok(chip)
+        })
     }
 
     fn build_inner(config: &ProcessorConfig) -> Result<Processor, McpatError> {
         checkpoint("build.validate")?;
-        let mut warnings = {
+        let warnings = {
             let _span = mcpat_obs::span("build.validate");
             config
                 .validate()
@@ -306,26 +315,6 @@ impl Processor {
         drop(fabric_span);
         mcpat_guard::note_span();
 
-        // Any array the solver could only place by degrading becomes a
-        // warning on the chip, rooted at the owning component.
-        warnings.merge_under("core", core.relaxation_warnings());
-        if let Some(l2) = &l2 {
-            warnings.merge_under("l2", l2.relaxation_warnings());
-        }
-        if let Some(l3) = &l3 {
-            warnings.merge_under("l3", l3.relaxation_warnings());
-        }
-        if let Some(mc) = &mc {
-            warnings.merge_under("mc", mc.relaxation_warnings());
-        }
-        if let Some(w) = noc
-            .router
-            .as_ref()
-            .and_then(|r| r.input_buffer.relaxation_warning())
-        {
-            warnings.push(w.under("fabric"));
-        }
-
         // Die area and the clock network over it.
         checkpoint("build.clock")?;
         let clock_span = mcpat_obs::span("build.clock");
@@ -350,10 +339,7 @@ impl Processor {
         drop(clock_span);
         mcpat_guard::note_span();
 
-        // `build` overwrites `perf` (and `trace`) from its collector.
-        let perf = BuildPerf::default();
-
-        Ok(Processor {
+        let mut chip = Processor {
             config: config.clone(),
             tech,
             core,
@@ -365,88 +351,30 @@ impl Processor {
             shared_fpu,
             clock,
             warnings,
-            perf,
+            // `build` overwrites `perf` (and `trace`) from its collector.
+            perf: BuildPerf::default(),
             trace: None,
-        })
+        };
+        chip.merge_relaxation_warnings();
+        Ok(chip)
     }
 
-    /// Re-evaluates this chip at a different clock without re-solving
-    /// any storage array.
-    ///
-    /// When no component enforces a cycle-time constraint
-    /// (`core.enforce_timing == false`, the default everywhere), the
-    /// solved array geometry of every component is independent of the
-    /// target clock: the clock enters only query-time power math and
-    /// the closed-form clock-distribution network. This method clones
-    /// the built chip, patches the clock into every config echo,
-    /// re-validates, and re-sizes only the clock network — the result
-    /// is indistinguishable from a full [`Processor::build`] of the
-    /// patched configuration at a small fraction of the cost, which is
-    /// what makes [`crate::explore::max_clock_under_power_budget`]'s
-    /// ~14 bisection probes cheap.
-    ///
-    /// When `core.enforce_timing` is set the array geometry *does*
-    /// depend on the clock, so this transparently falls back to a full
-    /// rebuild.
-    ///
-    /// # Errors
-    ///
-    /// [`McpatError::Invalid`] if the patched configuration fails
-    /// validation, or any build error from the full-rebuild fallback.
-    pub fn rebuild_with_clock(&self, clock_hz: f64) -> Result<Processor, McpatError> {
-        let mut config = self.config.clone();
-        config.clock_hz = clock_hz;
-        config.core.clock_hz = clock_hz;
-        if config.core.enforce_timing {
-            return Processor::build(&config);
-        }
-        let collector = mcpat_obs::Collector::new();
-        let result = {
-            let _scope = collector.enter();
-            let _span = mcpat_obs::span("rebuild_with_clock");
-            self.rebuild_incremental(config, clock_hz)
-        };
-        let snap = collector.snapshot();
-        let mut next = result?;
-        next.perf = BuildPerf {
-            threads: mcpat_par::threads(),
-            solve_cache_hits: snap.solve_cache_hits,
-            solve_cache_misses: snap.solve_cache_misses,
-            solve_cache_evictions: snap.solve_cache_evictions,
-        };
-        next.trace = if mcpat_obs::tracing_enabled() {
-            Some(collector.trace())
-        } else {
-            None
-        };
-        Ok(next)
-    }
-
-    /// The incremental body of [`Processor::rebuild_with_clock`]: no
-    /// array re-solves, clock-dependent state only.
-    fn rebuild_incremental(
-        &self,
-        config: ProcessorConfig,
-        clock_hz: f64,
-    ) -> Result<Processor, McpatError> {
-        checkpoint("rebuild_with_clock")?;
-        // Validation warnings can depend on the clock (e.g. the
-        // "aggressive clock" advisory); recompute them exactly the way
-        // `build` does so the incremental result carries the same
-        // diagnostics a full rebuild would.
-        let mut warnings = config
-            .validate()
-            .into_result()
-            .map_err(McpatError::Invalid)?;
-        warnings.merge_under("core", self.core.relaxation_warnings());
+    /// Appends every array the solver could only place by degrading to
+    /// [`Processor::warnings`] as a warning rooted at the owning
+    /// component, in the fixed order core, l2, l3, mc, fabric. Every
+    /// build path calls this after the validation warnings, so the
+    /// diagnostics text is the same whichever path produced the chip.
+    fn merge_relaxation_warnings(&mut self) {
+        self.warnings
+            .merge_under("core", self.core.relaxation_warnings());
         if let Some(l2) = &self.l2 {
-            warnings.merge_under("l2", l2.relaxation_warnings());
+            self.warnings.merge_under("l2", l2.relaxation_warnings());
         }
         if let Some(l3) = &self.l3 {
-            warnings.merge_under("l3", l3.relaxation_warnings());
+            self.warnings.merge_under("l3", l3.relaxation_warnings());
         }
         if let Some(mc) = &self.mc {
-            warnings.merge_under("mc", mc.relaxation_warnings());
+            self.warnings.merge_under("mc", mc.relaxation_warnings());
         }
         if let Some(w) = self
             .noc
@@ -454,20 +382,80 @@ impl Processor {
             .as_ref()
             .and_then(|r| r.input_buffer.relaxation_warning())
         {
-            warnings.push(w.under("fabric"));
+            self.warnings.push(w.under("fabric"));
         }
+    }
 
-        let mut next = self.clone();
-        next.core.config.clock_hz = clock_hz;
-        next.noc.config.clock_hz = clock_hz;
-        next.config = config;
-        next.warnings = warnings;
-
+    /// Retimes this chip in place to `clock_hz` without re-solving any
+    /// storage array.
+    ///
+    /// When no component enforces a cycle-time constraint
+    /// (`core.enforce_timing == false`, the default everywhere), the
+    /// solved array geometry of every component is independent of the
+    /// target clock: the clock enters only query-time power math and
+    /// the closed-form clock-distribution network. This method patches
+    /// the clock into every config echo, re-validates, recomputes the
+    /// warnings, and re-sizes only the clock network — the chip is then
+    /// indistinguishable from a full [`Processor::build`] of the patched
+    /// configuration, and no component is cloned or re-solved.
+    /// Retiming twice leaves no trace of the first clock, which is what
+    /// lets [`crate::explore::max_clock_under_power_budget`]'s ~14
+    /// bisection probes and the DSE engine's clock probes reuse one chip.
+    ///
+    /// When `core.enforce_timing` is set the array geometry *does*
+    /// depend on the clock, so this transparently replaces the chip
+    /// with a full rebuild. [`Processor::perf`] and [`Processor::trace`]
+    /// keep describing the build that produced the chip.
+    ///
+    /// # Errors
+    ///
+    /// [`McpatError::Invalid`] if the patched configuration fails
+    /// validation, in which case the chip is left exactly as it was;
+    /// [`McpatError::Budget`] from the budget checkpoint; or any build
+    /// error from the full-rebuild fallback.
+    pub fn retime(&mut self, clock_hz: f64) -> Result<(), McpatError> {
+        if self.config.core.enforce_timing {
+            *self = Processor::build(&Delta::Clock(clock_hz).apply(&self.config))?;
+            return Ok(());
+        }
+        checkpoint("rebuild_with_clock")?;
+        let previous = (self.config.clock_hz, self.config.core.clock_hz);
+        self.config.clock_hz = clock_hz;
+        self.config.core.clock_hz = clock_hz;
+        // Validation warnings can depend on the clock (e.g. the
+        // "aggressive clock" advisory); recompute them exactly the way
+        // `build` does so the retimed chip carries the same diagnostics
+        // a full rebuild would.
+        self.warnings = match self.config.validate().into_result() {
+            Ok(warnings) => warnings,
+            Err(errors) => {
+                (self.config.clock_hz, self.config.core.clock_hz) = previous;
+                return Err(McpatError::Invalid(errors));
+            }
+        };
+        self.merge_relaxation_warnings();
+        self.core.config.clock_hz = clock_hz;
+        self.noc.config.clock_hz = clock_hz;
         // Die geometry is clock-invariant; the clock network's load and
         // frequency are not. Recompute with the same formulas `build`
         // uses so the result is bit-identical.
-        Self::refresh_die_and_clock(&mut next);
-        Ok(next)
+        self.refresh_die_and_clock();
+        Ok(())
+    }
+
+    /// [`Processor::retime`] on a copy: this chip re-evaluated at a
+    /// different clock, with [`Processor::perf`] and
+    /// [`Processor::trace`] describing the retime itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`Processor::retime`].
+    pub fn rebuild_with_clock(&self, clock_hz: f64) -> Result<Processor, McpatError> {
+        let mut next = self.clone();
+        collected("rebuild_with_clock", move || {
+            next.retime(clock_hz)?;
+            Ok(next)
+        })
     }
 
     /// Re-evaluates this chip under a single-axis change, reusing every
@@ -503,26 +491,9 @@ impl Processor {
                     // No L2 to resize: the patch is a no-op.
                     return Processor::build(&config);
                 }
-                let collector = mcpat_obs::Collector::new();
-                let result = {
-                    let _scope = collector.enter();
-                    let _span = mcpat_obs::span("rebuild_with.cache");
+                collected("rebuild_with.cache", || {
                     mcpat_arena::scratch(|_scratch| self.rebuild_with_cache(config))
-                };
-                let snap = collector.snapshot();
-                let mut next = result?;
-                next.perf = BuildPerf {
-                    threads: mcpat_par::threads(),
-                    solve_cache_hits: snap.solve_cache_hits,
-                    solve_cache_misses: snap.solve_cache_misses,
-                    solve_cache_evictions: snap.solve_cache_evictions,
-                };
-                next.trace = if mcpat_obs::tracing_enabled() {
-                    Some(collector.trace())
-                } else {
-                    None
-                };
-                Ok(next)
+                })
             }
         }
     }
@@ -531,7 +502,7 @@ impl Processor {
     /// the L2 and the fabric, reuse everything else.
     fn rebuild_with_cache(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
         checkpoint("rebuild_with.cache")?;
-        let mut warnings = config
+        let warnings = config
             .validate()
             .into_result()
             .map_err(McpatError::Invalid)?;
@@ -560,30 +531,13 @@ impl Processor {
         .at("fabric")?;
         mcpat_guard::note_span();
 
-        warnings.merge_under("core", self.core.relaxation_warnings());
-        if let Some(l2) = &l2 {
-            warnings.merge_under("l2", l2.relaxation_warnings());
-        }
-        if let Some(l3) = &self.l3 {
-            warnings.merge_under("l3", l3.relaxation_warnings());
-        }
-        if let Some(mc) = &self.mc {
-            warnings.merge_under("mc", mc.relaxation_warnings());
-        }
-        if let Some(w) = noc
-            .router
-            .as_ref()
-            .and_then(|r| r.input_buffer.relaxation_warning())
-        {
-            warnings.push(w.under("fabric"));
-        }
-
         let mut next = self.clone();
         next.l2 = l2;
         next.noc = noc;
         next.config = config;
         next.warnings = warnings;
-        Self::refresh_die_and_clock(&mut next);
+        next.merge_relaxation_warnings();
+        next.refresh_die_and_clock();
         Ok(next)
     }
 
@@ -591,29 +545,29 @@ impl Processor {
     /// current components with exactly the formulas `build` uses, so
     /// every incremental rebuild path stays bit-identical to a full
     /// build of the same configuration.
-    fn refresh_die_and_clock(next: &mut Processor) {
+    fn refresh_die_and_clock(&mut self) {
         let component_area = Self::component_area_sum(
-            &next.config,
-            &next.core,
-            next.l2.as_ref(),
-            next.l3.as_ref(),
-            &next.noc,
-            next.mc.as_ref(),
-            &next.io,
-            &next.shared_fpu,
+            &self.config,
+            &self.core,
+            self.l2.as_ref(),
+            self.l3.as_ref(),
+            &self.noc,
+            self.mc.as_ref(),
+            &self.io,
+            &self.shared_fpu,
         );
         let die_area = component_area * DIE_AREA_OVERHEAD;
         let die_edge = die_area.sqrt();
-        let vdd = next.tech.device.vdd;
+        let vdd = self.tech.device.vdd;
         let core_sink_cap =
-            f64::from(next.config.num_cores) * 2.0 * next.core.pipeline.clock_energy_per_cycle
+            f64::from(self.config.num_cores) * 2.0 * self.core.pipeline.clock_energy_per_cycle
                 / (vdd * vdd);
         let sink_cap = core_sink_cap + CLOCK_SINK_CAP_PER_M2 * die_area * 0.5;
-        next.clock = ClockNetwork::new(
-            &next.tech,
+        self.clock = ClockNetwork::new(
+            &self.tech,
             die_edge,
             die_edge,
-            next.config.clock_hz,
+            self.config.clock_hz,
             sink_cap,
         );
     }
@@ -638,59 +592,54 @@ impl Processor {
             + shared_fpu.area * f64::from(config.num_shared_fpus)
     }
 
+    /// The floorplan's named component areas, without the whitespace
+    /// overhead, in report order. A stack array, so summing it
+    /// allocates nothing.
+    fn area_terms(&self) -> impl Iterator<Item = (&'static str, f64)> {
+        let c = &self.config;
+        let gating_overhead = if c.power_gating { 1.04 } else { 1.0 };
+        [
+            Some((
+                "cores",
+                self.core.area() * f64::from(c.num_cores) * gating_overhead,
+            )),
+            self.l2
+                .as_ref()
+                .map(|l2| ("l2", l2.area() * f64::from(c.num_l2s))),
+            self.l3.as_ref().map(|l3| ("l3", l3.area())),
+            Some(("noc", self.noc.area())),
+            self.mc.as_ref().map(|mc| ("mc", mc.area())),
+            Some(("io", self.io.area)),
+            (c.num_shared_fpus > 0).then(|| {
+                (
+                    "shared-fpu",
+                    self.shared_fpu.area * f64::from(c.num_shared_fpus),
+                )
+            }),
+            Some(("clock", self.clock.area())),
+        ]
+        .into_iter()
+        .flatten()
+    }
+
     /// Floorplan summary: per-component areas (component sums, without
     /// the whitespace overhead).
     #[must_use]
     pub fn area_breakdown(&self) -> Vec<AreaItem> {
-        let c = &self.config;
-        let gating_overhead = if c.power_gating { 1.04 } else { 1.0 };
-        let mut items = vec![AreaItem {
-            name: "cores".into(),
-            area: self.core.area() * f64::from(c.num_cores) * gating_overhead,
-        }];
-        if let Some(l2) = &self.l2 {
-            items.push(AreaItem {
-                name: "l2".into(),
-                area: l2.area() * f64::from(c.num_l2s),
-            });
-        }
-        if let Some(l3) = &self.l3 {
-            items.push(AreaItem {
-                name: "l3".into(),
-                area: l3.area(),
-            });
-        }
-        items.push(AreaItem {
-            name: "noc".into(),
-            area: self.noc.area(),
-        });
-        if let Some(mc) = &self.mc {
-            items.push(AreaItem {
-                name: "mc".into(),
-                area: mc.area(),
-            });
-        }
-        items.push(AreaItem {
-            name: "io".into(),
-            area: self.io.area,
-        });
-        if c.num_shared_fpus > 0 {
-            items.push(AreaItem {
-                name: "shared-fpu".into(),
-                area: self.shared_fpu.area * f64::from(c.num_shared_fpus),
-            });
-        }
-        items.push(AreaItem {
-            name: "clock".into(),
-            area: self.clock.area(),
-        });
-        items
+        self.area_terms()
+            .map(|(name, area)| AreaItem {
+                name: name.into(),
+                area,
+            })
+            .collect()
     }
 
-    /// Die area including layout overhead and the pad ring, m².
+    /// Die area including layout overhead and the pad ring, m². Sums
+    /// the same terms as [`Processor::area_breakdown`] in the same
+    /// order, without building it.
     #[must_use]
     pub fn die_area(&self) -> f64 {
-        let components: f64 = self.area_breakdown().iter().map(|i| i.area).sum();
+        let components: f64 = self.area_terms().map(|(_, area)| area).sum();
         let active = components * DIE_AREA_OVERHEAD;
         let edge = active.sqrt() + 2.0 * PAD_RING_WIDTH;
         edge * edge
@@ -1078,6 +1027,58 @@ mod tests {
             full.peak_power().total().to_bits()
         );
         assert_eq!(fast.warnings.len(), full.warnings.len());
+    }
+
+    /// `die_area` sums its terms without building `area_breakdown`; it
+    /// must still equal the breakdown-sum formula bit for bit, on the
+    /// presets and on every row base of a small DSE grid.
+    #[test]
+    fn die_area_equals_the_area_breakdown_sum() {
+        use mcpat_tech::{DeviceType, TechNode};
+        let grid = crate::dse::AxisGrid::manycore(
+            vec![TechNode::N45, TechNode::N22],
+            vec![DeviceType::Hp, DeviceType::Lstp],
+            vec![2, 8],
+            vec![1 << 20, 4 << 20],
+            vec![1.0e9, 2.0e9],
+        );
+        let row_bases = (0..grid.total())
+            .step_by(grid.clocks_hz.len())
+            .map(|cursor| grid.config_at(cursor).unwrap());
+        let mut gated = ProcessorConfig::niagara2();
+        gated.power_gating = true;
+        let presets = [
+            ProcessorConfig::niagara(),
+            ProcessorConfig::niagara2(),
+            ProcessorConfig::alpha21364(),
+            ProcessorConfig::tulsa(),
+            gated,
+        ];
+        for cfg in presets.into_iter().chain(row_bases) {
+            let chip = Processor::build(&cfg).unwrap();
+            let components: f64 = chip.area_breakdown().iter().map(|i| i.area).sum();
+            let edge = (components * DIE_AREA_OVERHEAD).sqrt() + 2.0 * PAD_RING_WIDTH;
+            assert_eq!(
+                chip.die_area().to_bits(),
+                (edge * edge).to_bits(),
+                "{}",
+                cfg.name
+            );
+        }
+    }
+
+    #[test]
+    fn failed_retime_leaves_the_chip_untouched() {
+        let mut chip = Processor::build(&ProcessorConfig::niagara2()).unwrap();
+        let (report, config) = (chip.report(), chip.config.clone());
+        for bad in [0.0, -1.0e9, f64::NAN] {
+            let err = chip
+                .retime(bad)
+                .expect_err("an invalid clock must be rejected");
+            assert!(matches!(err, McpatError::Invalid(_)), "{bad}: {err}");
+            assert_eq!(chip.report(), report, "{bad}");
+            assert_eq!(chip.config, config, "{bad}");
+        }
     }
 
     #[test]

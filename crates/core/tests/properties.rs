@@ -14,6 +14,27 @@ fn batch_eval(chip: &Processor) -> MetricSet {
     MetricSet::from_power(10.0 * n, 1.0 / n, chip.die_area())
 }
 
+fn presets() -> Vec<ProcessorConfig> {
+    vec![
+        ProcessorConfig::niagara(),
+        ProcessorConfig::niagara2(),
+        ProcessorConfig::alpha21364(),
+        ProcessorConfig::tulsa(),
+    ]
+}
+
+/// The rendered report minus its `Build:` line. That line reports how
+/// the chip was produced (solve cache hits, threads), not what was
+/// modeled, so it is the one line allowed to differ between a delta
+/// rebuild and a full build.
+fn modeled_report(chip: &Processor) -> String {
+    chip.report()
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("Build:"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 fn any_node() -> impl Strategy<Value = TechNode> {
     prop::sample::select(TechNode::SCALING_STUDY.to_vec())
 }
@@ -163,18 +184,36 @@ proptest! {
         prop_assert_eq!(fast.warnings.len(), full.warnings.len());
     }
 
+    /// `retime` is the in-place form of `rebuild_with_clock`, and DSE
+    /// probes and bisections retime one chip over and over. Two
+    /// retimes in a row must leave no trace of the first clock: the
+    /// chip then matches a from-scratch build at the second one.
+    #[test]
+    fn chained_retimes_equal_full_build(
+        cfg in prop_oneof![any_manycore(), prop::sample::select(presets())],
+        first in 0.5..2.0f64,
+        second in 0.5..2.0f64,
+    ) {
+        let mut chip = Processor::build(&cfg).unwrap();
+        chip.retime(cfg.clock_hz * first).unwrap();
+        let clock = cfg.clock_hz * second;
+        chip.retime(clock).unwrap();
+        let full = Processor::build(&Delta::Clock(clock).apply(&cfg)).unwrap();
+        prop_assert_eq!(modeled_report(&chip), modeled_report(&full));
+        prop_assert_eq!(chip.die_area().to_bits(), full.die_area().to_bits());
+        prop_assert_eq!(
+            chip.peak_power().total().to_bits(),
+            full.peak_power().total().to_bits()
+        );
+    }
+
     /// Mirrors `rebuild_with_clock_equals_full_build` for the other
     /// delta axes: a `rebuild_with` result must be indistinguishable —
     /// report bits, warning set and all — from a from-scratch build of
     /// the delta-patched configuration, on every shipped preset.
     #[test]
     fn rebuild_with_delta_equals_full_build(
-        preset in prop::sample::select(vec![
-            ProcessorConfig::niagara(),
-            ProcessorConfig::niagara2(),
-            ProcessorConfig::alpha21364(),
-            ProcessorConfig::tulsa(),
-        ]),
+        preset in prop::sample::select(presets()),
         which in 0..3usize,
         vdd_scale in 0.7..1.2f64,
         kelvin in 320.0..380.0f64,
@@ -201,18 +240,7 @@ proptest! {
         prop_assert_eq!(fast.total_leakage().total().to_bits(), full.total_leakage().total().to_bits());
         // Field-for-field: the rendered reports carry every modeled
         // quantity, so byte equality is the strongest practical check.
-        // The `Build:` line reports how the chip was produced (solve
-        // cache hits, threads), not what was modeled, so it is the one
-        // line allowed to differ between a delta rebuild and a full
-        // build.
-        let modeled = |report: String| -> String {
-            report
-                .lines()
-                .filter(|l| !l.trim_start().starts_with("Build:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        prop_assert_eq!(modeled(fast.report()), modeled(full.report()));
+        prop_assert_eq!(modeled_report(&fast), modeled_report(&full));
         prop_assert_eq!(fast.warnings.len(), full.warnings.len());
         for (a, b) in fast.warnings.iter().zip(full.warnings.iter()) {
             prop_assert_eq!(&a.path, &b.path);

@@ -644,7 +644,7 @@ const BUDGETED_CALLS: &[&str] = &[
     "evaluate_raw",
     "sweep_cell",
     "rebuild_with_clock",
-    "rebuild_incremental",
+    "retime",
     "rebuild_with",
     "config_at",
     "build",

@@ -5,7 +5,7 @@
 //!
 //! * **One level of fan-out.** A `par_map` called on a thread that is
 //!   already running a pool task runs inline ([`in_task`]), so only the
-//!   outermost call — candidates of a sweep, probes of a DSE chunk —
+//!   outermost call — the candidates of an `explore` or `explore_batch` —
 //!   ever submits. A chip build is milliseconds of work; splitting it
 //!   further only paid queue and wake-up overhead.
 //! * **Help-while-wait.** A caller that submitted a batch does not

@@ -20,6 +20,7 @@ use mcpat::{
     AxisGrid, ChipStats, DseCheckpoint, DseOptions, Metric, Processor, ProcessorConfig,
     WorkloadModel,
 };
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -36,6 +37,20 @@ enum CliError {
     /// The build tripped a resource budget: `--deadline-ms` elapsed or
     /// a `--cancel-on-signal` signal arrived. Exit 5.
     Budget(String),
+    /// The reader closed stdout early (`mcpat … | head -1`). Nobody is
+    /// left to read a message, so this exits 0 quietly.
+    Closed,
+}
+
+impl From<std::io::Error> for CliError {
+    /// Classifies a failed write to stdout.
+    fn from(e: std::io::Error) -> CliError {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError::Closed
+        } else {
+            CliError::InvalidConfig(format!("cannot write to stdout: {e}"))
+        }
+    }
 }
 
 impl CliError {
@@ -45,6 +60,7 @@ impl CliError {
             CliError::InvalidConfig(_) => ExitCode::from(3),
             CliError::Infeasible(_) => ExitCode::from(4),
             CliError::Budget(_) => ExitCode::from(5),
+            CliError::Closed => ExitCode::SUCCESS,
         }
     }
 
@@ -54,6 +70,7 @@ impl CliError {
             | CliError::InvalidConfig(m)
             | CliError::Infeasible(m)
             | CliError::Budget(m) => m,
+            CliError::Closed => "",
         }
     }
 }
@@ -302,7 +319,7 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
         args.first().map(String::as_str),
         None | Some("--help" | "-h")
     ) {
-        println!("{}", dse_usage());
+        writeln!(std::io::stdout().lock(), "{}", dse_usage())?;
         return Ok(());
     }
     let mut grid: Option<AxisGrid> = None;
@@ -415,7 +432,9 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
     };
     let _budget_scope = budget.as_ref().map(mcpat::guard::Budget::enter);
 
-    println!(
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
         "dse: {} candidates ({} nodes x {} flavors x {} core counts x {} L2 sizes x {} clocks){}",
         grid.total(),
         grid.nodes.len(),
@@ -427,7 +446,7 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
             .as_ref()
             .map(|cp| format!(", resuming at cursor {}", cp.cursor()))
             .unwrap_or_default(),
-    );
+    )?;
     let mut evaluator = WorkloadModel::default();
     let checkpoint_sink = |cp: &DseCheckpoint| -> Result<(), mcpat::McpatError> {
         if let Some(path) = &checkpoint_path {
@@ -450,22 +469,30 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
         }
         e
     })?;
+    // The frontier file goes first, so a reader that stops listening
+    // early (`| head -1`) still gets it.
+    if let Some(path) = &out_path {
+        write_checkpoint(path, &result.final_checkpoint(&grid))?;
+    }
 
-    println!(
+    writeln!(
+        out,
         "dse: frontier {} / offered {} (pruned {}, rejected {}, deduped {})",
         result.frontier.len(),
         result.frontier.offered(),
         result.perf.pruned,
         result.perf.rejected,
         result.perf.deduped,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "dse: builds: {} probes, {} cache rebuilds, {} full",
         result.perf.probes, result.perf.cache_rebuilds, result.perf.full_builds,
-    );
+    )?;
     for metric in Metric::ALL {
         if let Some(best) = result.frontier.best(metric) {
-            println!(
+            writeln!(
+                out,
                 "  best {:<6} {}  (delay {:.3e} s, energy {:.3e} J, area {:.1} mm2, peak {:.1} W)",
                 format!("{metric:?}"),
                 best.name,
@@ -473,13 +500,11 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
                 best.metrics.energy,
                 best.area * 1e6,
                 best.peak_power,
-            );
+            )?;
         }
     }
     if let Some(path) = &out_path {
-        let cp = result.final_checkpoint(&grid);
-        write_checkpoint(path, &cp)?;
-        println!("dse: frontier written to {path}");
+        writeln!(out, "dse: frontier written to {path}")?;
     }
     Ok(())
 }
@@ -504,7 +529,7 @@ fn serve_usage() -> &'static str {
 /// The `mcpat serve` subcommand: the long-running evaluation daemon.
 fn run_serve(args: &[String]) -> Result<(), CliError> {
     if matches!(args.first().map(String::as_str), Some("--help" | "-h")) {
-        println!("{}", serve_usage());
+        writeln!(std::io::stdout().lock(), "{}", serve_usage())?;
         return Ok(());
     }
     let mut listen: Option<String> = None;
@@ -543,13 +568,15 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::InvalidConfig(format!("cannot listen on `{listen}`: {e}")))?;
     #[cfg(unix)]
     sig::install_drain();
-    println!("serve: listening on {}", server.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    {
+        let mut out = std::io::stdout().lock();
+        writeln!(out, "serve: listening on {}", server.local_addr())?;
+        out.flush()?;
+    }
     server
         .run()
         .map_err(|e| CliError::InvalidConfig(format!("serve: {e}")))?;
-    println!("serve: drained, exiting");
+    writeln!(std::io::stdout().lock(), "serve: drained, exiting")?;
     Ok(())
 }
 
@@ -557,7 +584,7 @@ fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let first = args.first().map(String::as_str);
     if matches!(first, None | Some("--help" | "-h")) {
-        println!("{}", usage());
+        writeln!(std::io::stdout().lock(), "{}", usage())?;
         return Ok(());
     }
     if first == Some("dse") {
@@ -656,28 +683,30 @@ fn run() -> Result<(), CliError> {
 
     let config =
         config.ok_or_else(|| CliError::Usage(format!("no configuration given\n{}", usage())))?;
+    let mut out = std::io::stdout().lock();
     if emit_config {
         let json = serde_json::to_string_pretty(&config)
             .map_err(|e| CliError::InvalidConfig(format!("serialization failed: {e}")))?;
-        println!("{json}");
+        writeln!(out, "{json}")?;
         return Ok(());
     }
 
     if validate_only {
         let diags = config.validate();
         if diags.is_empty() {
-            println!("{}: configuration is valid", config.name);
+            writeln!(out, "{}: configuration is valid", config.name)?;
             return Ok(());
         }
-        println!(
+        writeln!(
+            out,
             "{}: {} finding{} ({} error{}):",
             config.name,
             diags.len(),
             if diags.len() == 1 { "" } else { "s" },
             diags.error_count(),
             if diags.error_count() == 1 { "" } else { "s" },
-        );
-        println!("{diags}");
+        )?;
+        writeln!(out, "{diags}")?;
         if diags.has_errors() {
             return Err(CliError::InvalidConfig(
                 "configuration failed validation".into(),
@@ -726,27 +755,29 @@ fn run() -> Result<(), CliError> {
         std::fs::write(path, json)
             .map_err(|e| CliError::InvalidConfig(format!("cannot write `{path}`: {e}")))?;
     }
-    println!("{}", chip.report());
+    writeln!(out, "{}", chip.report())?;
     if show_floorplan {
-        println!("Floorplan:");
-        println!("{}", chip.floorplan_sketch());
+        writeln!(out, "Floorplan:")?;
+        writeln!(out, "{}", chip.floorplan_sketch())?;
     }
 
     if let Some(stats) = stats {
         let p = chip.runtime_power(&stats);
-        println!(
+        writeln!(
+            out,
             "Runtime power over {:.3e} s: {:.2} W",
             stats.duration_s,
             p.total()
-        );
+        )?;
         for item in &p.items {
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {:>7.2} W (dyn {:>6.2}, leak {:>6.2})",
                 item.name,
                 item.total(),
                 item.dynamic,
                 item.leakage.total()
-            );
+            )?;
         }
     }
     Ok(())
@@ -755,6 +786,7 @@ fn run() -> Result<(), CliError> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mcpat: {}", e.message());
             e.exit_code()

@@ -319,3 +319,32 @@ fn serve_with_unparseable_cap_is_a_usage_error() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("is not a number"), "{err}");
 }
+
+#[test]
+fn closed_stdout_exits_quietly_instead_of_panicking() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // A sweep long enough that its summary lines come well after the
+    // reader below has gone, the way `mcpat dse … | head -1` closes it.
+    let mut child = mcpat_bin()
+        .args([
+            "dse",
+            "--axes",
+            "nodes=90,65,45,32,22;flavors=hp,lstp;cores=2,4;l2=1M,2M;clocks=1e9:3e9:400",
+            "--no-prune",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("dse: "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let code = exit_code(&out);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(code, 101, "{err}");
+}
