@@ -8,7 +8,7 @@
 //! best under the requested objective.
 
 use crate::htree::HTree;
-use crate::mat::{Mat, MatColPart, MatInvariants};
+use crate::mat::{Mat, MatColPart, MatInvariants, MatRowPart};
 use crate::spec::{ArrayKind, ArraySpec, OptTarget};
 use mcpat_circuit::metrics::{CircuitMetrics, StaticPower};
 use mcpat_circuit::mux::Multiplexer;
@@ -383,7 +383,8 @@ pub fn set_reference_mode(enabled: bool) {
 /// partitioning: the hoisted mat and repeater invariant tables plus a
 /// few spec-derived scalars. Built once per solve and shared by both
 /// enumeration passes.
-struct SolveInvariants {
+struct SolveInvariants<'a> {
+    spec: &'a ArraySpec,
     tech: TechParams,
     mat: MatInvariants,
     rep: RepeaterInvariants,
@@ -395,9 +396,10 @@ struct SolveInvariants {
     is_cam: bool,
 }
 
-impl SolveInvariants {
-    fn new(tech: &TechParams, spec: &ArraySpec) -> SolveInvariants {
+impl<'a> SolveInvariants<'a> {
+    fn new(tech: &TechParams, spec: &'a ArraySpec) -> SolveInvariants<'a> {
         SolveInvariants {
+            spec,
             tech: *tech,
             mat: MatInvariants::new(tech, spec.kind, spec.ports, spec.search_bits),
             rep: RepeaterInvariants::new(tech, WireType::Intermediate),
@@ -443,6 +445,51 @@ impl ColGeom {
     }
 }
 
+/// A find-or-build memo from a small integer key to a hoisted `Copy`
+/// value, on an arena slice. One enumeration pass builds each distinct
+/// key's value on its first lookup and shares it with every later cell
+/// and every `nspd`.
+struct PartTable<'s, V> {
+    slots: &'s mut [Option<(usize, V)>],
+}
+
+impl<'s, V: Copy> PartTable<'s, V> {
+    fn new(scratch: mcpat_arena::Scratch<'s>, capacity: usize) -> PartTable<'s, V> {
+        PartTable {
+            slots: scratch.alloc_fill(capacity, None),
+        }
+    }
+
+    /// `key`'s value, built by `make` on its first lookup. Capacities
+    /// cover every lookup of a pass; a full table would still answer,
+    /// just without keeping the value.
+    fn get_or_build(&mut self, key: usize, make: impl FnOnce(usize) -> V) -> V {
+        for slot in self.slots.iter_mut() {
+            match slot {
+                Some((k, v)) if *k == key => return *v,
+                Some(_) => {}
+                None => {
+                    let v = make(key);
+                    *slot = Some((key, v));
+                    return v;
+                }
+            }
+        }
+        make(key)
+    }
+}
+
+/// The hoisted mat and mux tables of one enumeration pass: one
+/// [`MatRowPart`] per distinct `rows_per_mat`, one [`MatColPart`] per
+/// distinct `cols_per_mat`, and one output-mux metric per distinct mux
+/// degree. Cells and `nspd` options repeat these inputs heavily (an L1
+/// data array's ~26 cells share ~8 row counts), so each is built once.
+struct PartTables<'s> {
+    rows: PartTable<'s, MatRowPart>,
+    cols: PartTable<'s, MatColPart>,
+    mux: PartTable<'s, CircuitMetrics>,
+}
+
 /// The per-`nspd` table of column geometries, one per candidate `ndwl`.
 #[derive(Clone, Copy)]
 struct GeomSet {
@@ -458,7 +505,12 @@ impl GeomSet {
         }
     }
 
-    fn build(inv: &SolveInvariants, bounds: &SearchBounds, cols_total: usize) -> GeomSet {
+    fn build(
+        inv: &SolveInvariants,
+        bounds: &SearchBounds,
+        cols_total: usize,
+        tables: &mut PartTables<'_>,
+    ) -> GeomSet {
         let mut set = GeomSet::empty();
         // `max_ndwl` ≤ 256 in every bounds table, so the pow2 ladder
         // fits in MAX_LANES with headroom; `take` is a formality.
@@ -466,7 +518,9 @@ impl GeomSet {
             let cols_per_mat = cols_total.div_ceil(ndwl);
             let written_per_mat = inv.access_bits.div_ceil(ndwl).min(cols_per_mat);
             let mux_degree = ((cols_per_mat * ndwl) / inv.access_bits.max(1)).max(1);
-            let mux_m = Multiplexer::new(&inv.tech, mux_degree, 20e-15).metrics();
+            let mux_m = tables.mux.get_or_build(mux_degree, |degree| {
+                Multiplexer::new(&inv.tech, degree, 20e-15).metrics()
+            });
             let Some(slot) = set.geoms.get_mut(set.n) else {
                 break;
             };
@@ -475,7 +529,9 @@ impl GeomSet {
                 valid: cols_per_mat <= bounds.max_cols_per_mat,
                 cols_per_mat,
                 written_per_mat,
-                col: inv.mat.cols_part(cols_per_mat),
+                col: tables
+                    .cols
+                    .get_or_build(cols_per_mat, |cols| inv.mat.cols_part(cols)),
                 mux_delay: mux_m.delay,
                 mux_read_energy: inv.access_bits as f64 * mux_m.energy_per_op,
                 mux_leak: mux_m.leakage.scaled(inv.access_bits as f64),
@@ -597,7 +653,7 @@ impl CellLanes {
 /// candidate-invariant term read from the tables instead of recomputed.
 fn evaluate_fast(
     inv: &SolveInvariants,
-    row: &crate::mat::MatRowPart,
+    row: &MatRowPart,
     geom: &ColGeom,
     cell: &OuterCell,
 ) -> RawEval {
@@ -668,18 +724,18 @@ fn evaluate_fast(
 /// between candidates, never mid-evaluation.
 fn sweep_cell(
     inv: &SolveInvariants,
-    spec: &ArraySpec,
     target: OptTarget,
     thresholds: &[Option<f64>],
     cell: &OuterCell,
     geoms: &[ColGeom],
+    rows: &mut PartTable<'_, MatRowPart>,
     best: &mut BestSet,
 ) -> Result<f64, ArrayError> {
     // lint: hot
-    let row = inv.mat.rows_part(cell.rows_per_mat);
+    let row = rows.get_or_build(cell.rows_per_mat, |r| inv.mat.rows_part(r));
     let mut lanes = CellLanes::new();
     for geom in geoms {
-        budget_check(spec)?;
+        budget_check(inv.spec)?;
         if !geom.valid {
             continue;
         }
@@ -724,21 +780,23 @@ fn sweep_cell(
 /// candidate.
 ///
 /// Column geometry depends only on `(nspd, ndwl)`, so one table per
-/// `nspd` is hoisted out of the per-cell sweep here.
+/// `nspd` is hoisted out of the per-cell sweep here; the mat row and
+/// column parts and the mux metrics behind them come from the pass's
+/// [`PartTables`], built once per distinct input.
 fn enumerate(
     inv: &SolveInvariants,
-    spec: &ArraySpec,
     target: OptTarget,
     bounds: &SearchBounds,
     thresholds: &[Option<f64>],
 ) -> Result<(BestSet, f64), ArrayError> {
+    let spec = inv.spec;
     let entries = spec.entries as usize;
     let bits = spec.bits_per_entry as usize;
 
-    // All enumeration scratch (the cell list and the per-nspd geometry
-    // tables) lives in the thread's bump arena: the first solve on a
-    // thread grows it, every later solve reuses the same chunks and
-    // allocates nothing.
+    // All enumeration scratch (the cell list, the per-nspd geometry
+    // tables and the part tables) lives in the thread's bump arena: the
+    // first solve on a thread grows it, every later solve reuses the
+    // same chunks and allocates nothing.
     mcpat_arena::scratch(|scratch| {
         let geom_sets = scratch.alloc_fill(MAX_NSPD, GeomSet::empty());
         let mut n_sets = 0usize;
@@ -746,6 +804,12 @@ fn enumerate(
             .nspd_options
             .len()
             .saturating_mul(pow2s_up_to(bounds.max_ndbl).count());
+        let max_geoms = bounds.nspd_options.len().saturating_mul(MAX_LANES);
+        let mut tables = PartTables {
+            rows: PartTable::new(scratch, max_cells),
+            cols: PartTable::new(scratch, max_geoms),
+            mux: PartTable::new(scratch, max_geoms),
+        };
         let cells_buf = scratch.alloc_fill(
             max_cells,
             OuterCell {
@@ -766,7 +830,7 @@ fn enumerate(
             let Some(slot) = geom_sets.get_mut(n_sets) else {
                 break;
             };
-            *slot = GeomSet::build(inv, bounds, cols_total);
+            *slot = GeomSet::build(inv, bounds, cols_total, &mut tables);
             let geom_idx = n_sets;
             n_sets += 1;
             for ndbl in pow2s_up_to(bounds.max_ndbl.min(rows_total)) {
@@ -797,7 +861,15 @@ fn enumerate(
                 .get(cell.geom_idx)
                 .map(GeomSet::as_slice)
                 .unwrap_or(&[]);
-            let cycle = sweep_cell(inv, spec, target, thresholds, cell, geoms, &mut best)?;
+            let cycle = sweep_cell(
+                inv,
+                target,
+                thresholds,
+                cell,
+                geoms,
+                &mut tables.rows,
+                &mut best,
+            )?;
             best_cycle_seen = best_cycle_seen.min(cycle);
         }
         Ok((best, best_cycle_seen))
@@ -856,7 +928,7 @@ pub(crate) fn solve_uncached(
 
     // Rung 0: the standard search, exactly as requested.
     budget_check(spec)?;
-    let (strict, cycle_strict) = enumerate(&inv, spec, target, normal, &[req])?;
+    let (strict, cycle_strict) = enumerate(&inv, target, normal, &[req])?;
     if let Some(c) = strict.slots.first().copied().flatten() {
         return Ok(materialize(spec, c, None));
     }
@@ -879,7 +951,7 @@ pub(crate) fn solve_uncached(
     };
     let thresholds = tvals.get(..tlen).unwrap_or(&[]);
     budget_check(spec)?;
-    let (rungs, cycle_wide) = enumerate(&inv, spec, target, wide, thresholds)?;
+    let (rungs, cycle_wide) = enumerate(&inv, target, wide, thresholds)?;
     let last = tlen - 1;
     for (i, cand) in rungs.slots.iter().take(tlen).enumerate() {
         let Some(c) = *cand else { continue };

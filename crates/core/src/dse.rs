@@ -13,17 +13,24 @@
 //!    [`Delta::Clock`] (or, at row boundaries, [`Delta::CacheSize`])
 //!    from a per-row base chip and cost probes, not full builds.
 //! 3. **Lower-bound pruning** — before a candidate is built, the
-//!    evaluator produces a certified lower bound on its metrics; if the
+//!    evaluator produces a certified lower bound on its metrics from
+//!    the row's [`RowBase`] and the candidate's clock; if the
 //!    incremental [`ParetoFrontier`] already dominates the bound, the
 //!    build never runs (see [`ParetoFrontier::would_prune`] for the
 //!    soundness argument).
 //!
-//! Work streams in bounded chunks of configurations routed into
-//! [`crate::explore`]'s dedupe, and each probe retimes its row's base
-//! chip in place ([`Processor::retime`]), so peak storage is
-//! O(frontier + chunk) configurations plus one chip per row the chunk
-//! touches. The sweep runs on the calling thread: a probe is a few
-//! microseconds, too little to pay for a pool task (DESIGN.md §8).
+//! Work streams in bounded chunks. A chunk enumerates `(cursor, row
+//! slot, clock)` triples, not configurations: the clock-invariant area
+//! and leakage of each row are computed once, in its [`RowBase`].
+//! Survivors dedupe like [`crate::explore::explore_batch`] does, on
+//! their row axes and clock bits, and each probe retimes its row's base
+//! chip in place ([`Processor::retime`]) and reads peak power once
+//! through the allocation-free [`Processor::peak_totals`]. Peak storage is
+//! O(frontier + chunk) plus one chip per row the chunk touches, and a
+//! warm probe allocates only in the retime's validation and warning
+//! merge and for the name of a point offered to the frontier. The
+//! sweep runs on the calling thread: a probe is a few microseconds, too
+//! little to pay for a pool task (DESIGN.md §8).
 //! The frontier plus the generator cursor serialize to JSON
 //! ([`DseCheckpoint`]) at chunk boundaries, so a sweep killed by the
 //! `mcpat-guard` deadline/cancel machinery resumes where it stopped
@@ -39,6 +46,7 @@ use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// A declarative candidate grid: the cross product of five axes around
 /// a shared core template. Candidates are enumerated lazily from a
@@ -136,33 +144,56 @@ impl AxisGrid {
             return None;
         }
         let clock = *self.clocks_hz.get((cursor % self.clocks_len()) as usize)?;
-        let mut rest = cursor / self.clocks_len();
-        let l2 = *self
-            .l2_bytes
-            .get((rest % self.l2_bytes.len() as u64) as usize)?;
-        rest /= self.l2_bytes.len() as u64;
-        let cores = *self
-            .core_counts
-            .get((rest % self.core_counts.len() as u64) as usize)?;
-        rest /= self.core_counts.len() as u64;
-        let device = *self
-            .device_types
-            .get((rest % self.device_types.len() as u64) as usize)?;
-        rest /= self.device_types.len() as u64;
-        let node = *self.nodes.get(rest as usize)?;
+        let axes = self.row_axes(cursor / self.clocks_len())?;
         let mut cfg = ProcessorConfig::manycore(
             &format!("dse-{cursor}"),
-            node,
+            axes.node,
             self.core.clone(),
-            cores,
-            cores.min(2),
-            l2,
+            axes.cores,
+            axes.cores.min(2),
+            axes.l2_bytes,
         );
-        cfg.device_type = device;
+        cfg.device_type = axes.device;
         cfg.clock_hz = clock;
         cfg.core.clock_hz = clock;
         Some(cfg)
     }
+
+    /// The axis values every candidate of delta-rebuild `row` shares,
+    /// or `None` past the end of the grid.
+    fn row_axes(&self, row: u64) -> Option<RowAxes> {
+        let mut rest = row;
+        let l2_bytes = *self
+            .l2_bytes
+            .get(rest.checked_rem(self.l2_bytes.len() as u64)? as usize)?;
+        rest /= self.l2_bytes.len() as u64;
+        let cores = *self
+            .core_counts
+            .get(rest.checked_rem(self.core_counts.len() as u64)? as usize)?;
+        rest /= self.core_counts.len() as u64;
+        let device = *self
+            .device_types
+            .get(rest.checked_rem(self.device_types.len() as u64)? as usize)?;
+        rest /= self.device_types.len() as u64;
+        let node = *self.nodes.get(rest as usize)?;
+        Some(RowAxes {
+            node,
+            device,
+            cores,
+            l2_bytes,
+        })
+    }
+}
+
+/// The four outer axis values of one delta-rebuild row. Two grid
+/// candidates describe the same chip exactly when their row axes and
+/// clock bits match, which is the key the chunk dedupe uses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RowAxes {
+    node: TechNode,
+    device: DeviceType,
+    cores: u32,
+    l2_bytes: u64,
 }
 
 /// Knobs of one [`dse`] run.
@@ -246,6 +277,35 @@ impl DseResult {
     }
 }
 
+/// A row's base chip (built at the row's first clock point) with the
+/// figures every candidate of the row shares, computed once per row:
+/// die area and leakage do not depend on the clock (the clock network
+/// sizes its drivers from switched capacitance, not frequency).
+#[derive(Debug, Clone)]
+pub struct RowBase {
+    /// The built base chip. The engine retimes it in place to probe the
+    /// row's candidates.
+    pub chip: Processor,
+    /// Die area, m², exact for every candidate of the row.
+    pub die_area: f64,
+    /// Total leakage, W, exact for every candidate of the row.
+    pub leakage: f64,
+    row: u64,
+    axes: RowAxes,
+}
+
+impl RowBase {
+    fn new(chip: Processor, row: u64, axes: RowAxes) -> RowBase {
+        RowBase {
+            die_area: chip.die_area(),
+            leakage: chip.total_leakage().total(),
+            chip,
+            row,
+            axes,
+        }
+    }
+}
+
 /// Workload evaluation injected into the streaming engine.
 ///
 /// Implementations must be deterministic: the frontier spot-check tests
@@ -256,12 +316,22 @@ pub trait DseEvaluator {
     /// evaluator closure).
     fn evaluate(&mut self, chip: &Processor) -> MetricSet;
 
-    /// A certified lower bound on the metrics of the (unbuilt)
-    /// candidate at `cfg`, given its row `base` — a built chip
-    /// identical to the candidate except for the clock. Every field
-    /// must be ≤ the value [`DseEvaluator::evaluate`] would produce,
-    /// and positive. Return `None` to skip pruning for this candidate.
-    fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet>;
+    /// [`DseEvaluator::evaluate`] for a chip whose peak power the engine
+    /// has already computed: `peak_power` is bit-equal to
+    /// `chip.peak_power().total()`. The engine calls this once per
+    /// probed candidate; the default ignores the figure and calls
+    /// `evaluate`.
+    fn evaluate_with_peak(&mut self, chip: &Processor, peak_power: f64) -> MetricSet {
+        let _ = peak_power;
+        self.evaluate(chip)
+    }
+
+    /// A certified lower bound on the metrics of the (unbuilt) candidate
+    /// at `clock_hz` in the row of `base` — the candidate's chip is
+    /// `base.chip` retimed to `clock_hz`. Every field must be ≤ the
+    /// value [`DseEvaluator::evaluate`] would produce, and positive.
+    /// Return `None` to skip pruning for this candidate.
+    fn lower_bound(&self, base: &RowBase, clock_hz: f64) -> Option<MetricSet>;
 }
 
 /// The default throughput-workload model: a fixed amount of work spread
@@ -280,23 +350,24 @@ impl Default for WorkloadModel {
 
 impl DseEvaluator for WorkloadModel {
     fn evaluate(&mut self, chip: &Processor) -> MetricSet {
-        let n = f64::from(chip.config.num_cores).max(1.0);
-        let delay = self.work / (n * chip.config.clock_hz);
-        MetricSet::from_power(chip.peak_power().total(), delay, chip.die_area())
+        self.evaluate_with_peak(chip, chip.peak_totals().total())
     }
 
-    fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
-        let n = f64::from(cfg.num_cores).max(1.0);
-        let delay = self.work / (n * cfg.clock_hz);
-        // Die area is clock-invariant (the clock network sizes its
-        // drivers from switched capacitance, not frequency), so the row
-        // base's area is this candidate's exact area; leakage is
-        // likewise clock-invariant and bounds peak power from below, so
-        // leakage × delay lower-bounds energy.
+    fn evaluate_with_peak(&mut self, chip: &Processor, peak_power: f64) -> MetricSet {
+        let n = f64::from(chip.config.num_cores).max(1.0);
+        let delay = self.work / (n * chip.config.clock_hz);
+        MetricSet::from_power(peak_power, delay, chip.die_area())
+    }
+
+    fn lower_bound(&self, base: &RowBase, clock_hz: f64) -> Option<MetricSet> {
+        let n = f64::from(base.chip.config.num_cores).max(1.0);
+        let delay = self.work / (n * clock_hz);
+        // The row's area is this candidate's exact area; leakage bounds
+        // peak power from below, so leakage × delay lower-bounds energy.
         Some(MetricSet {
             delay,
-            energy: base.total_leakage().total() * delay,
-            area: base.die_area(),
+            energy: base.leakage * delay,
+            area: base.die_area,
         })
     }
 }
@@ -466,12 +537,15 @@ pub fn dse<E: DseEvaluator>(
     dse_streaming(grid, opts, evaluator, None, |_| Ok(()))
 }
 
-/// Where one in-flight candidate of a chunk sits, between enumeration
-/// and its probe; its configuration is kept alongside.
+/// One in-flight candidate of a chunk, between enumeration and its
+/// probe: its cursor, its row's base slot and axis values, and its
+/// clock. No configuration is built for it.
 struct Pending {
     cursor: u64,
     /// Index into the chunk's row-base table.
     base_slot: usize,
+    axes: RowAxes,
+    clock_hz: f64,
 }
 
 /// The streaming engine: enumerates `grid` from the resume cursor (or
@@ -561,24 +635,24 @@ fn run_chunk<E: DseEvaluator>(
 ) -> Result<(), McpatError> {
     let clocks_len = grid.clocks_len();
     let l2_len = grid.l2_bytes.len() as u64;
-    let mut bases: Vec<Processor> = Vec::new();
-    let mut base_slots: Vec<u64> = Vec::new(); // row of each base slot
+    let mut bases: Vec<RowBase> = Vec::new();
     let mut pending: Vec<Pending> = Vec::new();
-    let mut cfgs: Vec<ProcessorConfig> = Vec::new();
 
     for cursor in range {
         checkpoint("dse.enumerate")?;
         perf.candidates += 1;
-        let Some(cfg) = grid.config_at(cursor) else {
+        let Some(&clock_hz) = grid.clocks_hz.get((cursor % clocks_len) as usize) else {
             continue;
         };
         let row = cursor / clocks_len;
-        let base_slot = match base_slots.iter().position(|&r| r == row) {
+        let base_slot = match bases.iter().position(|b| b.row == row) {
             Some(slot) => slot,
             None => {
+                let Some(axes) = grid.row_axes(row) else {
+                    continue;
+                };
                 let chip = advance_base(grid, row, clocks_len, l2_len, last_base, perf)?;
-                bases.push(chip.clone());
-                base_slots.push(row);
+                bases.push(RowBase::new(chip.clone(), row, axes));
                 *last_base = Some((row, chip));
                 bases.len() - 1
             }
@@ -588,12 +662,12 @@ fn run_chunk<E: DseEvaluator>(
         };
         // Exact early budget rejection: die area is clock-invariant, so
         // the base's area IS this candidate's area.
-        if base.die_area() > opts.budgets.max_area {
+        if base.die_area > opts.budgets.max_area {
             perf.rejected += 1;
             continue;
         }
         if opts.prune {
-            if let Some(lb) = evaluator.lower_bound(base, &cfg) {
+            if let Some(lb) = evaluator.lower_bound(base, clock_hz) {
                 if frontier.would_prune(&lb) {
                     perf.pruned += 1;
                     mcpat_obs::record_dse_pruned(1);
@@ -601,27 +675,33 @@ fn run_chunk<E: DseEvaluator>(
                 }
             }
         }
-        pending.push(Pending { cursor, base_slot });
-        cfgs.push(cfg);
+        pending.push(Pending {
+            cursor,
+            base_slot,
+            axes: base.axes,
+            clock_hz,
+        });
     }
     if pending.is_empty() {
         return Ok(());
     }
 
-    // Route the chunk through the same dedupe key explore_batch uses:
-    // identical configurations (up to the name) probe once and share.
-    let mut assignment = vec![0usize; cfgs.len()];
-    let rep_ids = assign_duplicates(&cfgs, &mut assignment);
+    // Route the chunk through explore's dedupe: candidates with the same
+    // row axes and clock bits are the same chip (up to the name), so
+    // they probe once and share.
+    let mut assignment = vec![0usize; pending.len()];
+    let same_chip =
+        |a: &Pending, b: &Pending| a.axes == b.axes && a.clock_hz.to_bits() == b.clock_hz.to_bits();
+    let rep_ids = assign_duplicates(&pending, same_chip, &mut assignment);
     perf.deduped += (pending.len() - rep_ids.len()) as u64;
 
     // Probe and offer in cursor order so the frontier (ties, winners,
     // counters) is deterministic. Each probe retimes its
     // representative's row base in place (bit-identical to a full build
     // of the candidate's configuration); a duplicate retimes the same
-    // base to the same clock (the dedupe key includes the clock), which
-    // reproduces its representative's bits without counting a probe.
-    let candidates = pending.iter().zip(cfgs).zip(assignment.iter());
-    for (i, ((p, cfg), &slot)) in candidates.enumerate() {
+    // base to the same clock, which reproduces its representative's bits
+    // without counting a probe.
+    for (i, (p, &slot)) in pending.iter().zip(assignment.iter()).enumerate() {
         checkpoint("dse.probe")?;
         let Some(&rep_id) = rep_ids.get(slot) else {
             continue;
@@ -629,14 +709,20 @@ fn run_chunk<E: DseEvaluator>(
         let Some(rep) = pending.get(rep_id) else {
             continue;
         };
-        let chip = bases.get_mut(rep.base_slot).ok_or_else(|| {
-            McpatError::config("dse.probe", "candidate references a missing row base")
-        })?;
-        chip.config.name.clone_from(&cfg.name);
-        chip.retime(cfg.clock_hz)?;
+        let chip = bases
+            .get_mut(rep.base_slot)
+            .map(|base| &mut base.chip)
+            .ok_or_else(|| {
+                McpatError::config("dse.probe", "candidate references a missing row base")
+            })?;
+        // The name `config_at` gives this cursor, written into the
+        // chip's existing buffer (writing to a `String` cannot fail).
+        chip.config.name.clear();
+        let _ = write!(chip.config.name, "dse-{}", p.cursor);
+        chip.retime(p.clock_hz)?;
         if rep_id == i {
             mcpat_guard::note_candidate();
-            if cfg.core.enforce_timing {
+            if chip.config.core.enforce_timing {
                 perf.full_builds += 1;
                 mcpat_obs::record_dse_full_builds(1);
             } else {
@@ -645,14 +731,14 @@ fn run_chunk<E: DseEvaluator>(
             }
         }
         let area = chip.die_area();
-        let peak = chip.peak_power().total();
+        let peak = chip.peak_totals().total();
         if area > opts.budgets.max_area || peak > opts.budgets.max_peak_power {
             perf.rejected += 1;
             continue;
         }
-        let metrics = evaluator.evaluate(chip);
+        let metrics = evaluator.evaluate_with_peak(chip, peak);
         frontier.offer(FrontierPoint {
-            name: cfg.name,
+            name: chip.config.name.clone(),
             cursor: p.cursor,
             area,
             peak_power: peak,

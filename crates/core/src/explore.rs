@@ -162,7 +162,7 @@ where
         // out instead of cloned from the input slice.
         let chip = built?;
         let area = chip.die_area();
-        let peak = chip.peak_power().total();
+        let peak = chip.peak_totals().total();
         if area > budgets.max_area || peak > budgets.max_peak_power {
             rejected.push(chip.config.name);
             continue;
@@ -263,24 +263,22 @@ fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool {
         && *vdd_scale == b.vdd_scale
 }
 
-/// Groups candidates by configuration identity (up to the name):
-/// writes each candidate's representative slot into `assignment` and
-/// returns the representatives' candidate indices in first-occurrence
-/// order. Shared by [`explore_batch`] and the streaming DSE engine
-/// ([`crate::dse`]) so both dedupe with the same key.
-pub(crate) fn assign_duplicates(
-    candidates: &[ProcessorConfig],
+/// Groups candidates by the equivalence `same`: writes each candidate's
+/// representative slot into `assignment` and returns the
+/// representatives' candidate indices in first-occurrence order. The one
+/// dedupe of [`explore_batch`] (configurations equal up to the name) and
+/// the streaming DSE engine ([`crate::dse`], grid candidates with equal
+/// row axes and clock bits).
+pub(crate) fn assign_duplicates<T>(
+    candidates: &[T],
+    same: impl Fn(&T, &T) -> bool,
     assignment: &mut [usize],
 ) -> Vec<usize> {
     let mut reps: Vec<usize> = Vec::new();
-    for (i, (cfg, slot_out)) in candidates.iter().zip(assignment.iter_mut()).enumerate() {
+    for (i, (item, slot_out)) in candidates.iter().zip(assignment.iter_mut()).enumerate() {
         *slot_out = reps
             .iter()
-            .position(|&r| {
-                candidates
-                    .get(r)
-                    .is_some_and(|rep| eq_ignoring_name(rep, cfg))
-            })
+            .position(|&r| candidates.get(r).is_some_and(|rep| same(rep, item)))
             .unwrap_or_else(|| {
                 reps.push(i);
                 reps.len() - 1
@@ -357,10 +355,11 @@ where
     // build scopes of later batches.
     mcpat_arena::scratch(|scratch| {
         let assignment = scratch.alloc_fill(candidates.len(), 0usize);
-        let unique: Vec<&ProcessorConfig> = assign_duplicates(candidates, assignment)
-            .into_iter()
-            .filter_map(|i| candidates.get(i))
-            .collect();
+        let unique: Vec<&ProcessorConfig> =
+            assign_duplicates(candidates, eq_ignoring_name, assignment)
+                .into_iter()
+                .filter_map(|i| candidates.get(i))
+                .collect();
 
         let builds = mcpat_par::par_map(&unique, 2, |_, cfg| {
             // One budget checkpoint per representative candidate.
@@ -407,7 +406,7 @@ where
                 &relabeled
             };
             let area = chip.die_area();
-            let peak = chip.peak_power().total();
+            let peak = chip.peak_totals().total();
             if area > budgets.max_area || peak > budgets.max_peak_power {
                 rejected.push(cfg.name.clone());
                 continue;
@@ -493,7 +492,7 @@ pub fn max_clock_under_power_budget_with_perf(
             perf.incremental_probes += 1;
         }
         chip.retime(clock)?;
-        Ok(chip.peak_power().total())
+        Ok(chip.peak_totals().total())
     };
     if power_at(lo_hz)? > budget_w {
         return Ok((None, perf));

@@ -53,7 +53,7 @@ pub mod thermal;
 pub use config::ProcessorConfig;
 pub use dse::{
     dse, dse_streaming, AxisGrid, DseCheckpoint, DseEvaluator, DseOptions, DsePerf, DseResult,
-    WorkloadModel,
+    RowBase, WorkloadModel,
 };
 pub use dvfs::DvfsPoint;
 pub use error::McpatError;

@@ -1,7 +1,7 @@
 //! Chip-level power breakdowns.
 
 use mcpat_circuit::metrics::StaticPower;
-use mcpat_mcore::core::CorePower;
+use mcpat_mcore::core::{CorePower, PowerSink};
 
 /// One top-level component of the chip power breakdown.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,26 @@ pub struct ChipPower {
     pub core_detail: CorePower,
 }
 
+impl PowerSink for ChipPower {
+    fn item(&mut self, name: &'static str, dynamic: f64, leakage: StaticPower) {
+        self.items.push(ChipPowerItem {
+            name: name.into(),
+            dynamic,
+            leakage,
+        });
+    }
+}
+
 impl ChipPower {
+    /// A breakdown with no items yet, sized for the at most 8 a chip
+    /// emits.
+    pub(crate) fn empty() -> ChipPower {
+        ChipPower {
+            items: Vec::with_capacity(8),
+            core_detail: CorePower { items: vec![] },
+        }
+    }
+
     /// Total dynamic power, W.
     #[must_use]
     pub fn dynamic(&self) -> f64 {

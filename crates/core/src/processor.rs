@@ -2,13 +2,14 @@
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
-use crate::power::{ChipPower, ChipPowerItem};
+use crate::power::ChipPower;
 use crate::stats::ChipStats;
 use mcpat_circuit::metrics::StaticPower;
 use mcpat_diag::{AtPath, Diagnostics, ResultExt};
 use mcpat_interconnect::noc::{NocConfig, NocModel};
-use mcpat_mcore::core::{CoreBuildError, CoreModel};
+use mcpat_mcore::core::{CoreBuildError, CoreModel, PowerSink, PowerTotals};
 use mcpat_mcore::exu::{FuKind, FunctionalUnit};
+use mcpat_mcore::CoreStats;
 use mcpat_tech::TechParams;
 use mcpat_uncore::clock::ClockNetwork;
 use mcpat_uncore::io::OffChipIo;
@@ -130,6 +131,37 @@ fn collected(
     };
     chip.trace = mcpat_obs::tracing_enabled().then(|| collector.trace());
     Ok(chip)
+}
+
+/// A chip-level [`PowerSink`], which also evaluates each core stats
+/// group. The named breakdown keeps the first group's per-unit items as
+/// its `core_detail`; the totals sink keeps nothing but numbers. Both
+/// sum a core's items the same way, so the chip totals agree bit for
+/// bit.
+trait ChipSink: PowerSink {
+    /// Dynamic power of one `core` under `stats`, W.
+    fn core_dynamic(&mut self, core: &CoreModel, stats: &CoreStats) -> f64;
+}
+
+impl ChipSink for PowerTotals {
+    fn core_dynamic(&mut self, core: &CoreModel, stats: &CoreStats) -> f64 {
+        let mut totals = PowerTotals::default();
+        core.runtime_power_into(stats, &mut totals);
+        totals.dynamic()
+    }
+}
+
+impl ChipSink for ChipPower {
+    fn core_dynamic(&mut self, core: &CoreModel, stats: &CoreStats) -> f64 {
+        let power = core.runtime_power(stats);
+        let dynamic = power.dynamic();
+        // Every core evaluation emits items, so an empty detail means
+        // this is the first group.
+        if self.core_detail.items.is_empty() {
+            self.core_detail = power;
+        }
+        dynamic
+    }
 }
 
 /// A single-axis change applied to an already-built chip by
@@ -665,21 +697,13 @@ impl Processor {
     /// Runtime power from simulator statistics.
     #[must_use]
     pub fn runtime_power(&self, stats: &ChipStats) -> ChipPower {
-        let c = &self.config;
-        let mut items = Vec::with_capacity(8);
-
-        // Cores: evaluate each core's stats (broadcast-aware) and sum.
-        // With power gating, an idle core drops to a retention state that
-        // keeps ~10% of its leakage.
-        let mut cores_dynamic = 0.0;
-        let mut cores_leakage_scale = 0.0;
-        let mut core_detail = None;
         // Group cores by their (broadcast-aware) stats entry so the cost
         // is bounded by the number of distinct entries, not `num_cores`:
         // entry i serves core i and the last entry serves every core
         // beyond the provided list.
+        let c = &self.config;
         let n_cores = c.num_cores as usize;
-        let core_groups: Vec<(mcpat_mcore::CoreStats, f64)> = if n_cores == 0 {
+        let core_groups: Vec<(CoreStats, f64)> = if n_cores == 0 {
             Vec::new()
         } else if stats.cores.len() <= 1 {
             vec![(stats.core(0), f64::from(c.num_cores))]
@@ -700,9 +724,28 @@ impl Processor {
                 })
                 .collect()
         };
-        for (cs, weight) in &core_groups {
-            let p = self.core.runtime_power(cs);
-            cores_dynamic += p.dynamic() * weight;
+        self.runtime_power_into(stats, &core_groups, ChipPower::empty())
+    }
+
+    /// The one copy of the chip power math: emits each top-level
+    /// component into `sink`, in breakdown order. `core_groups` pairs
+    /// each distinct per-core stats entry with the number of cores it
+    /// serves; `stats.cores` itself is not read.
+    fn runtime_power_into<S: ChipSink>(
+        &self,
+        stats: &ChipStats,
+        core_groups: &[(CoreStats, f64)],
+        mut sink: S,
+    ) -> S {
+        let c = &self.config;
+
+        // Cores: evaluate each core's stats (broadcast-aware) and sum.
+        // With power gating, an idle core drops to a retention state that
+        // keeps ~10% of its leakage.
+        let mut cores_dynamic = 0.0;
+        let mut cores_leakage_scale = 0.0;
+        for (cs, weight) in core_groups {
+            cores_dynamic += sink.core_dynamic(&self.core, cs) * weight;
             let duty = cs.duty();
             cores_leakage_scale += weight
                 * if c.power_gating {
@@ -710,60 +753,48 @@ impl Processor {
                 } else {
                     1.0
                 };
-            if core_detail.is_none() {
-                core_detail = Some(p);
-            }
         }
-        let core_detail = core_detail.unwrap_or(mcpat_mcore::core::CorePower { items: vec![] });
         // Wakeup transitions recharge the gated rail.
         if c.power_gating && stats.core_wakeups > 0 {
             let e_wake = WAKEUP_ENERGY_PER_M2 * self.core.area();
             cores_dynamic += stats.core_wakeups as f64 * e_wake / stats.duration_s.max(1e-12);
         }
-        items.push(ChipPowerItem {
-            name: "cores".into(),
-            dynamic: cores_dynamic,
-            leakage: self.core.leakage().scaled(cores_leakage_scale),
-        });
+        sink.item(
+            "cores",
+            cores_dynamic,
+            self.core.leakage().scaled(cores_leakage_scale),
+        );
 
         if let Some(l2) = &self.l2 {
-            items.push(ChipPowerItem {
-                name: "l2".into(),
-                dynamic: l2.dynamic_power(&stats.l2),
-                leakage: l2.leakage().scaled(f64::from(c.num_l2s)),
-            });
+            sink.item(
+                "l2",
+                l2.dynamic_power(&stats.l2),
+                l2.leakage().scaled(f64::from(c.num_l2s)),
+            );
         }
         if let Some(l3) = &self.l3 {
-            items.push(ChipPowerItem {
-                name: "l3".into(),
-                dynamic: l3.dynamic_power(&stats.l3),
-                leakage: l3.leakage(),
-            });
+            sink.item("l3", l3.dynamic_power(&stats.l3), l3.leakage());
         }
-        items.push(ChipPowerItem {
-            name: "noc".into(),
-            dynamic: self.noc.dynamic_power(&stats.noc),
-            leakage: self.noc.leakage(),
-        });
+        sink.item(
+            "noc",
+            self.noc.dynamic_power(&stats.noc),
+            self.noc.leakage(),
+        );
         if let Some(mc) = &self.mc {
-            items.push(ChipPowerItem {
-                name: "mc".into(),
-                dynamic: mc.dynamic_power(&stats.mc),
-                leakage: mc.leakage(),
-            });
+            sink.item("mc", mc.dynamic_power(&stats.mc), mc.leakage());
         }
-        items.push(ChipPowerItem {
-            name: "io".into(),
-            dynamic: self.io.power_at_utilization(stats.io_utilization) - self.io.standby_power,
-            leakage: self.io.leakage(),
-        });
+        sink.item(
+            "io",
+            self.io.power_at_utilization(stats.io_utilization) - self.io.standby_power,
+            self.io.leakage(),
+        );
         if c.num_shared_fpus > 0 {
             let interval = stats.duration_s.max(1e-12);
-            items.push(ChipPowerItem {
-                name: "shared-fpu".into(),
-                dynamic: stats.shared_fpu_ops as f64 * self.shared_fpu.energy_per_op / interval,
-                leakage: self.shared_fpu.leakage.scaled(f64::from(c.num_shared_fpus)),
-            });
+            sink.item(
+                "shared-fpu",
+                stats.shared_fpu_ops as f64 * self.shared_fpu.energy_per_op / interval,
+                self.shared_fpu.leakage.scaled(f64::from(c.num_shared_fpus)),
+            );
         }
 
         // Clock: gate the grid by the cores' average idleness when the
@@ -782,32 +813,51 @@ impl Processor {
         } else {
             0.0
         };
-        items.push(ChipPowerItem {
-            name: "clock".into(),
-            dynamic: self.clock.dynamic_power_gated(gated_fraction),
-            leakage: self.clock.leakage(),
-        });
-
-        ChipPower { items, core_detail }
+        sink.item(
+            "clock",
+            self.clock.dynamic_power_gated(gated_fraction),
+            self.clock.leakage(),
+        );
+        sink
     }
 
     /// TDP-style peak power: sustained worst-case activity, W.
     #[must_use]
     pub fn peak_power(&self) -> ChipPower {
-        let stats = ChipStats::peak(
-            1e-3,
-            self.config.num_cores,
-            self.config.clock_hz,
-            self.config.core.issue_width,
-            self.config.core.fp_issue_width,
-        );
-        self.runtime_power(&stats)
+        self.peak_into(ChipPower::empty())
     }
 
-    /// Total chip leakage, W.
+    /// The totals of [`Processor::peak_power`] — bit-identical, without
+    /// its named breakdown and without allocating. The clock probes,
+    /// budget filters and pruning bounds of the exploration paths read
+    /// peak power through this.
+    #[must_use]
+    pub fn peak_totals(&self) -> PowerTotals {
+        self.peak_into(PowerTotals::default())
+    }
+
+    /// Evaluates the TDP-style interval of [`ChipStats::peak`] into
+    /// `sink`, with its single per-core entry held apart instead of in a
+    /// `Vec` and broadcast to every core, as `runtime_power` does.
+    fn peak_into<S: ChipSink>(&self, sink: S) -> S {
+        let c = &self.config;
+        let (core, stats) = ChipStats::peak_parts(
+            1e-3,
+            c.num_cores,
+            c.clock_hz,
+            c.core.issue_width,
+            c.core.fp_issue_width,
+        );
+        let group = [(core, f64::from(c.num_cores))];
+        let groups: &[(CoreStats, f64)] = if c.num_cores == 0 { &[] } else { &group };
+        self.runtime_power_into(&stats, groups, sink)
+    }
+
+    /// Total chip leakage, W. Allocation-free, like
+    /// [`Processor::peak_totals`].
     #[must_use]
     pub fn total_leakage(&self) -> StaticPower {
-        self.peak_power().leakage()
+        self.peak_totals().leakage()
     }
 }
 

@@ -6,7 +6,7 @@ use mcpat::{
     ProcessorConfig,
 };
 use mcpat_mcore::config::CoreConfig;
-use mcpat_tech::TechNode;
+use mcpat_tech::{DeviceType, TechNode};
 use proptest::prelude::*;
 
 fn batch_eval(chip: &Processor) -> MetricSet {
@@ -66,8 +66,65 @@ fn any_manycore() -> impl Strategy<Value = ProcessorConfig> {
         })
 }
 
+/// The allocation-free peak totals must equal the named breakdown's
+/// totals bit for bit: the exploration paths filter and rank on the
+/// former while reports print the latter.
+fn assert_totals_match_breakdown(chip: &Processor) {
+    let named = chip.peak_power();
+    let totals = chip.peak_totals();
+    let what = &chip.config.name;
+    assert_eq!(totals.total().to_bits(), named.total().to_bits(), "{what}");
+    assert_eq!(
+        totals.dynamic().to_bits(),
+        named.dynamic().to_bits(),
+        "{what}"
+    );
+    for leakage in [totals.leakage(), chip.total_leakage()] {
+        let expected = named.leakage();
+        assert_eq!(
+            leakage.subthreshold.to_bits(),
+            expected.subthreshold.to_bits(),
+            "{what}"
+        );
+        assert_eq!(leakage.gate.to_bits(), expected.gate.to_bits(), "{what}");
+    }
+}
+
+#[test]
+fn peak_totals_match_the_breakdown_on_presets_and_every_node_flavor_pair() {
+    let mut configs = presets();
+    for node in TechNode::ALL {
+        for flavor in DeviceType::ALL {
+            let mut cfg = ProcessorConfig::manycore(
+                &format!("{node:?}-{flavor:?}"),
+                node,
+                CoreConfig::generic_inorder(),
+                8,
+                2,
+                2 * 1024 * 1024,
+            );
+            cfg.device_type = flavor;
+            configs.push(cfg);
+        }
+    }
+    for cfg in configs {
+        assert_totals_match_breakdown(&Processor::build(&cfg).unwrap());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn peak_totals_match_the_breakdown(
+        cfg in any_manycore(),
+        clock_scale in 0.5..2.0f64,
+        gating in prop::bool::ANY,
+    ) {
+        let mut cfg = Delta::Clock(cfg.clock_hz * clock_scale).apply(&cfg);
+        cfg.power_gating = gating;
+        assert_totals_match_breakdown(&Processor::build(&cfg).unwrap());
+    }
 
     #[test]
     fn every_manycore_config_builds_sanely(cfg in any_manycore()) {

@@ -72,11 +72,78 @@ impl PowerItem {
     }
 }
 
+/// Receives a power evaluation one named component at a time, in
+/// breakdown order. [`CorePower`] (and the chip-level breakdown) keep
+/// every named item; [`PowerTotals`] keeps only the numbers.
+pub trait PowerSink {
+    /// Records one component: its name, dynamic power (W) and leakage.
+    fn item(&mut self, name: &'static str, dynamic: f64, leakage: StaticPower);
+}
+
+/// The most items one power evaluation emits: a core emits at most 9,
+/// a chip at most 8.
+const MAX_POWER_ITEMS: usize = 9;
+
+/// The totals of one power evaluation without its names: each item's
+/// dynamic power and leakage on a stack array, summed in emission order
+/// exactly as the named breakdowns sum their items. Every total is
+/// therefore bit-identical to the breakdown's, and nothing allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PowerTotals {
+    len: usize,
+    dynamic: [f64; MAX_POWER_ITEMS],
+    leakage: [StaticPower; MAX_POWER_ITEMS],
+}
+
+impl PowerSink for PowerTotals {
+    fn item(&mut self, _name: &'static str, dynamic: f64, leakage: StaticPower) {
+        let (Some(d), Some(l)) = (
+            self.dynamic.get_mut(self.len),
+            self.leakage.get_mut(self.len),
+        ) else {
+            return;
+        };
+        *d = dynamic;
+        *l = leakage;
+        self.len += 1;
+    }
+}
+
+impl PowerTotals {
+    /// Sum of dynamic power, W.
+    #[must_use]
+    pub fn dynamic(&self) -> f64 {
+        self.dynamic.iter().take(self.len).copied().sum()
+    }
+
+    /// Sum of leakage, W.
+    #[must_use]
+    pub fn leakage(&self) -> StaticPower {
+        self.leakage.iter().take(self.len).copied().sum()
+    }
+
+    /// Total power, W.
+    #[must_use]
+    pub fn total(&self) -> f64 {
+        self.dynamic() + self.leakage().total()
+    }
+}
+
 /// A full power breakdown of one core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorePower {
     /// Per-component entries.
     pub items: Vec<PowerItem>,
+}
+
+impl PowerSink for CorePower {
+    fn item(&mut self, name: &'static str, dynamic: f64, leakage: StaticPower) {
+        self.items.push(PowerItem {
+            name: name.into(),
+            dynamic,
+            leakage,
+        });
+    }
 }
 
 impl CorePower {
@@ -274,12 +341,21 @@ impl CoreModel {
     /// energies are divided by it to obtain average power.
     #[must_use]
     pub fn runtime_power(&self, stats: &CoreStats) -> CorePower {
+        let mut power = CorePower {
+            items: Vec::with_capacity(MAX_POWER_ITEMS),
+        };
+        self.runtime_power_into(stats, &mut power);
+        power
+    }
+
+    /// [`CoreModel::runtime_power`], emitted item by item into `sink`.
+    /// This is the one copy of the core power math: the named breakdown
+    /// and the allocation-free [`PowerTotals`] both come from it.
+    pub fn runtime_power_into(&self, stats: &CoreStats, sink: &mut impl PowerSink) {
         let cycles = stats.cycles.max(1) as f64;
         let interval = cycles / self.config.clock_hz;
         let per = |energy: f64| energy / interval;
         let n = |count: u64| count as f64;
-
-        let mut items = Vec::with_capacity(9);
 
         // --- IFU ---------------------------------------------------------
         let icache_e = n(stats.icache_accesses) * self.ifu.icache.read_hit_energy
@@ -290,11 +366,11 @@ impl CoreModel {
             + n(stats.branch_mispredicts) * self.ifu.predictor_update_energy();
         let ib_e = n(stats.decodes) * self.ifu.buffer_energy_per_inst();
         let dec_e = n(stats.decodes) * self.ifu.decode_energy_per_inst;
-        items.push(PowerItem {
-            name: "ifu".into(),
-            dynamic: per(icache_e + bpred_e + ib_e + dec_e),
-            leakage: self.ifu.leakage(),
-        });
+        sink.item(
+            "ifu",
+            per(icache_e + bpred_e + ib_e + dec_e),
+            self.ifu.leakage(),
+        );
 
         // --- Rename ------------------------------------------------------
         if let Some(r) = &self.rename {
@@ -306,22 +382,14 @@ impl CoreModel {
             let e = n(stats.renames)
                 * ((1.0 - fp_frac) * r.rename_energy_per_inst(false)
                     + fp_frac * r.rename_energy_per_inst(true));
-            items.push(PowerItem {
-                name: "rename".into(),
-                dynamic: per(e),
-                leakage: r.leakage(),
-            });
+            sink.item("rename", per(e), r.leakage());
         }
 
         // --- Window + ROB --------------------------------------------------
         if let Some(w) = &self.window {
             let e = n(stats.window_accesses) * w.window_energy_per_access(false)
                 + n(stats.rob_accesses) * w.rob_energy_per_access();
-            items.push(PowerItem {
-                name: "window".into(),
-                dynamic: per(e),
-                leakage: w.leakage(),
-            });
+            sink.item("window", per(e), w.leakage());
         }
 
         // --- Register files -------------------------------------------------
@@ -329,11 +397,7 @@ impl CoreModel {
             + n(stats.int_regfile_writes) * self.regs.int_rf.write_energy
             + n(stats.fp_regfile_reads) * self.regs.fp_rf.read_energy
             + n(stats.fp_regfile_writes) * self.regs.fp_rf.write_energy;
-        items.push(PowerItem {
-            name: "regfile".into(),
-            dynamic: per(rf_e),
-            leakage: self.regs.leakage(),
-        });
+        sink.item("regfile", per(rf_e), self.regs.leakage());
 
         // --- EXU -------------------------------------------------------------
         let exu_e = n(stats.int_ops) * self.exu.alu.energy_per_op
@@ -344,30 +408,18 @@ impl CoreModel {
                 .saturating_add(stats.fp_ops)
                 .saturating_add(stats.mul_ops))
                 * self.exu.bypass_energy_per_transfer;
-        items.push(PowerItem {
-            name: "exu".into(),
-            dynamic: per(exu_e),
-            leakage: self.exu.leakage(),
-        });
+        sink.item("exu", per(exu_e), self.exu.leakage());
 
         // --- LSU ----------------------------------------------------------------
         let lsu_e = n(stats.loads) * self.lsu.load_energy()
             + n(stats.stores) * self.lsu.store_energy()
             + n(stats.dcache_misses) * (self.lsu.dcache.miss_energy + self.lsu.dcache.fill_energy);
-        items.push(PowerItem {
-            name: "lsu".into(),
-            dynamic: per(lsu_e),
-            leakage: self.lsu.leakage(),
-        });
+        sink.item("lsu", per(lsu_e), self.lsu.leakage());
 
         // --- MMU -----------------------------------------------------------------
         let mmu_e = n(stats.itlb_accesses) * self.mmu.itlb_energy()
             + n(stats.dtlb_accesses) * self.mmu.dtlb_energy();
-        items.push(PowerItem {
-            name: "mmu".into(),
-            dynamic: per(mmu_e),
-            leakage: self.mmu.leakage(),
-        });
+        sink.item("mmu", per(mmu_e), self.mmu.leakage());
 
         // --- Pipeline latches + local clock ----------------------------------------
         let duty = stats.duty();
@@ -376,21 +428,11 @@ impl CoreModel {
         let pipe_e = cycles
             * (self.pipeline.data_energy_per_cycle * duty
                 + self.pipeline.clock_energy_per_cycle * clock_scale);
-        items.push(PowerItem {
-            name: "pipeline+clock".into(),
-            dynamic: per(pipe_e),
-            leakage: self.pipeline.leakage,
-        });
+        sink.item("pipeline+clock", per(pipe_e), self.pipeline.leakage);
 
         // --- Random control logic ---------------------------------------------------
         let misc_e = cycles * duty * self.misc.energy_per_cycle;
-        items.push(PowerItem {
-            name: "misc-logic".into(),
-            dynamic: per(misc_e),
-            leakage: self.misc.leakage,
-        });
-
-        CorePower { items }
+        sink.item("misc-logic", per(misc_e), self.misc.leakage);
     }
 
     /// TDP-style peak power: one second of maximum sustained activity, W.

@@ -46,5 +46,5 @@ pub mod stats;
 pub mod window;
 
 pub use config::{CoreConfig, MachineType};
-pub use core::{CoreModel, CorePower};
+pub use core::{CoreModel, CorePower, PowerSink, PowerTotals};
 pub use stats::CoreStats;

@@ -503,6 +503,50 @@ fn arena_reuse_cuts_explore_batch_allocs_at_least_30_percent() {
     );
 }
 
+/// Warm streaming-DSE allocations per candidate. Clock probes retime a
+/// row base in place and read peak power through the allocation-free
+/// totals, and a chunk enumerates cursors instead of configurations.
+/// What is left per candidate is the retime's `validate()` and warning
+/// merge, the frontier name of each offered point, and each row's base
+/// build or L2 rebuild spread over its 50 clocks: 9.06 on this grid.
+/// Building a configuration and two named power breakdowns per
+/// candidate, as sweeps did before, made 54.9.
+const WARM_DSE_ALLOCS_PER_CANDIDATE_CEILING: f64 = 10.0;
+
+#[test]
+fn warm_dse_allocations_per_candidate_stay_within_budget() {
+    let _guard = knob_lock();
+    let _reset = KnobReset;
+    let grid = mcpat::AxisGrid::manycore(
+        vec![TechNode::N45, TechNode::N32],
+        vec![mcpat_tech::DeviceType::Hp, mcpat_tech::DeviceType::Lop],
+        vec![2, 8],
+        vec![1 << 20, 4 << 20],
+        (0..50).map(|i| 1.0e9 + 4.0e7 * f64::from(i)).collect(),
+    );
+    let sweep = || {
+        mcpat::dse(
+            &grid,
+            &mcpat::DseOptions::default(),
+            &mut mcpat::WorkloadModel::default(),
+        )
+        .unwrap()
+    };
+    // The first sweep warms the solve cache and the thread's arena.
+    let cold = sweep();
+    let before = current_thread_allocs();
+    let warm = sweep();
+    let allocs = current_thread_allocs() - before;
+    assert_eq!(warm.frontier, cold.frontier, "warm and cold sweeps differ");
+    let per_candidate = allocs as f64 / warm.perf.candidates as f64;
+    assert!(
+        per_candidate <= WARM_DSE_ALLOCS_PER_CANDIDATE_CEILING,
+        "a warm DSE sweep made {allocs} allocations over {} candidates \
+         ({per_candidate:.2} each); the budget is {WARM_DSE_ALLOCS_PER_CANDIDATE_CEILING}",
+        warm.perf.candidates
+    );
+}
+
 #[test]
 fn build_perf_reports_thread_count() {
     let _guard = knob_lock();
